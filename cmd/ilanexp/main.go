@@ -30,6 +30,7 @@ import (
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/obsserve"
 	"github.com/ilan-sched/ilan/internal/results"
+	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
@@ -90,12 +91,10 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -139,8 +138,7 @@ func main() {
 		srv := obsserve.New(track)
 		addr, err := srv.Start(*serve)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "serving live campaign monitor on http://%s\n", addr)
@@ -212,8 +210,7 @@ func main() {
 		}
 		cc, err := cellcache.Open(dir, int64(*cacheMaxMB)<<20)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		cfg.Cache = cc
 		finishCache = func() {
@@ -243,14 +240,12 @@ func main() {
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		saved, err := results.Read(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		if *exp == "multi" {
 			mm := saved.ToMultiMatrix()
@@ -259,21 +254,18 @@ func main() {
 				os.Exit(1)
 			}
 			if err := harness.ReportMulti(os.Stdout, mm); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
+				die(err)
 			}
 			return
 		}
 		mx := saved.ToMatrix()
 		if err := harness.Report(os.Stdout, *exp, mx); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		if *chart && *exp != "table1" {
 			fmt.Println()
 			if err := harness.RenderChart(os.Stdout, *exp, mx); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
+				die(err)
 			}
 		}
 		return
@@ -287,13 +279,7 @@ func main() {
 		}
 		res, err := harness.RunOracle(benches, cfg, progress)
 		if err != nil {
-			if errors.Is(err, harness.ErrInterrupted) {
-				finishCache()
-				fmt.Fprintln(os.Stderr, "ilanexp: oracle study interrupted")
-				os.Exit(exitInterrupted)
-			}
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			failCampaign(err, cfg, finishCache)
 		}
 		harness.ReportOracle(os.Stdout, res)
 		return
@@ -315,35 +301,32 @@ func main() {
 		start := time.Now()
 		mm, err := harness.RunMulti(kinds, cfg, progress)
 		if err != nil {
-			if errors.Is(err, harness.ErrInterrupted) {
-				finishCache()
-				fmt.Fprintln(os.Stderr, "ilanexp: multi campaign interrupted")
-				os.Exit(exitInterrupted)
-			}
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			failCampaign(err, cfg, finishCache)
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Millisecond))
 		}
 		if err := harness.ReportMulti(os.Stdout, mm); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		if *out != "" {
 			file := results.FromMulti(mm, cfg, *label)
 			if err := fsatomic.WriteFile(*out, file.Write); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
+				die(err)
 			}
 			if !*quiet {
 				fmt.Fprintf(os.Stderr, "campaign written to %s\n", *out)
 			}
 		}
 		if *perfetto != "" {
-			if err := writePerfettoMulti(*perfetto, mm); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
+			var traced []tracedCell
+			for _, k := range mm.Kinds {
+				if c := mm.Cells[k]; c != nil && c.TaskTrace() != nil {
+					traced = append(traced, tracedCell{k, c.TaskTrace(), c.Samples[0].Obs})
+				}
+			}
+			if err := writePerfetto(*perfetto, traced); err != nil {
+				die(err)
 			}
 			if !*quiet {
 				fmt.Fprintf(os.Stderr, "perfetto trace written to %s\n", *perfetto)
@@ -358,8 +341,7 @@ func main() {
 				os.Exit(1)
 			}
 			if err := fsatomic.WriteFile(*attrOut, file.Write); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
+				die(err)
 			}
 			if !*quiet {
 				fmt.Fprintf(os.Stderr, "attribution report written to %s\n", *attrOut)
@@ -377,32 +359,18 @@ func main() {
 	start := time.Now()
 	mx, err := harness.Run(benches, kinds, cfg, progress)
 	if err != nil {
-		if errors.Is(err, harness.ErrInterrupted) {
-			finishCache()
-			if cfg.Cache != nil {
-				fmt.Fprintln(os.Stderr,
-					"ilanexp: campaign interrupted; completed units are cached — rerun the same command to resume")
-			} else {
-				fmt.Fprintln(os.Stderr,
-					"ilanexp: campaign interrupted (run with -cache to make interrupted campaigns resumable)")
-			}
-			os.Exit(exitInterrupted)
-		}
-		fmt.Fprintln(os.Stderr, "ilanexp:", err)
-		os.Exit(1)
+		failCampaign(err, cfg, finishCache)
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if err := harness.Report(os.Stdout, *exp, mx); err != nil {
-		fmt.Fprintln(os.Stderr, "ilanexp:", err)
-		os.Exit(1)
+		die(err)
 	}
 	if *chart && *exp != "table1" {
 		fmt.Println()
 		if err := harness.RenderChart(os.Stdout, *exp, mx); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 	}
 	if *out != "" {
@@ -410,17 +378,21 @@ func main() {
 		// not clobber the previous good results file with truncated JSON.
 		file := results.FromMatrix(mx, cfg, *label)
 		if err := fsatomic.WriteFile(*out, file.Write); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "campaign written to %s\n", *out)
 		}
 	}
 	if *perfetto != "" {
-		if err := writePerfetto(*perfetto, mx); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+		var traced []tracedCell
+		mx.EachCell(func(c *harness.Cell) {
+			if c.TaskTrace() != nil {
+				traced = append(traced, tracedCell{c.Kind, c.TaskTrace(), c.Samples[0].Obs})
+			}
+		})
+		if err := writePerfetto(*perfetto, traced); err != nil {
+			die(err)
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "perfetto trace written to %s\n", *perfetto)
@@ -435,8 +407,7 @@ func main() {
 			os.Exit(1)
 		}
 		if err := fsatomic.WriteFile(*attrOut, file.Write); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(err)
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "attribution report written to %s\n", *attrOut)
@@ -444,55 +415,59 @@ func main() {
 	}
 }
 
+// die reports a runtime failure and exits with code 1.
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "ilanexp:", err)
+	os.Exit(1)
+}
+
+// failCampaign exits after a campaign error: with the resume code when the
+// campaign was interrupted (after flushing the cache, since os.Exit skips
+// defers), with code 1 otherwise.
+func failCampaign(err error, cfg harness.Config, finishCache func()) {
+	if !errors.Is(err, harness.ErrInterrupted) {
+		die(err)
+	}
+	finishCache()
+	if cfg.Cache != nil {
+		fmt.Fprintln(os.Stderr,
+			"ilanexp: campaign interrupted; completed units are cached — rerun the same command to resume")
+	} else {
+		fmt.Fprintln(os.Stderr,
+			"ilanexp: campaign interrupted (run with -cache to make interrupted campaigns resumable)")
+	}
+	os.Exit(exitInterrupted)
+}
+
+// tracedCell is a cell whose rep 0 recorded a task trace.
+type tracedCell struct {
+	kind  harness.Kind
+	trace *taskrt.Trace
+	obs   *obs.Snapshot
+}
+
 // writePerfetto exports rep 0's task trace as Chrome trace-event JSON.
 // The ILAN cell is the interesting one (phase transitions, yellow/green
 // stealing); fall back to the first traced cell when the campaign ran
-// without ILAN.
-func writePerfetto(path string, mx *harness.Matrix) error {
-	var cell *harness.Cell
-	mx.EachCell(func(c *harness.Cell) {
-		if c.TaskTrace() == nil {
-			return
-		}
-		if cell == nil || (cell.Kind != harness.KindILAN && c.Kind == harness.KindILAN) {
-			cell = c
-		}
-	})
-	if cell == nil {
+// without ILAN. A co-run trace's per-program tags group each co-runner
+// under its own process track.
+func writePerfetto(path string, cells []tracedCell) error {
+	if len(cells) == 0 {
 		return fmt.Errorf("no task trace recorded (internal error: -perfetto should imply tracing)")
 	}
+	pick := cells[0]
+	for _, c := range cells {
+		if c.kind == harness.KindILAN {
+			pick = c
+			break
+		}
+	}
 	var decisions []obs.Decision
-	if o := cell.Samples[0].Obs; o != nil {
-		decisions = o.Decisions
+	if pick.obs != nil {
+		decisions = pick.obs.Decisions
 	}
 	// Atomic write, same rationale as -out: never leave torn trace JSON.
 	return fsatomic.WriteFile(path, func(w io.Writer) error {
-		return chrometrace.Write(w, cell.TaskTrace(), decisions, chrometrace.Options{})
-	})
-}
-
-// writePerfettoMulti exports rep 0 of a co-run cell: the trace's per-
-// program tags group each co-runner under its own process track. Prefers
-// the ILAN cell like writePerfetto does.
-func writePerfettoMulti(path string, mm *harness.MultiMatrix) error {
-	var cell *harness.MultiCell
-	for _, k := range mm.Kinds {
-		c := mm.Cells[k]
-		if c == nil || c.TaskTrace() == nil {
-			continue
-		}
-		if cell == nil || (cell.Kind != harness.KindILAN && c.Kind == harness.KindILAN) {
-			cell = c
-		}
-	}
-	if cell == nil {
-		return fmt.Errorf("no task trace recorded (internal error: -perfetto should imply tracing)")
-	}
-	var decisions []obs.Decision
-	if o := cell.Samples[0].Obs; o != nil {
-		decisions = o.Decisions
-	}
-	return fsatomic.WriteFile(path, func(w io.Writer) error {
-		return chrometrace.Write(w, cell.TaskTrace(), decisions, chrometrace.Options{})
+		return chrometrace.Write(w, pick.trace, decisions, chrometrace.Options{})
 	})
 }

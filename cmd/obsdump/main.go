@@ -2,7 +2,7 @@
 // campaign file (ilanexp -metrics -out). It lists which cells carry
 // metrics, and renders one cell's snapshot as a human summary, Prometheus
 // text, a folded-stacks profile (flamegraph input), the raw ILAN decision
-// trace, or JSON.
+// trace with a per-loop PTT footer, or JSON.
 //
 // Usage:
 //
@@ -12,20 +12,29 @@
 //	obsdump -in results.json -cell CG/ilan -format decisions
 //	obsdump -in results.json -cell CG/ilan -format folded > cg.folded
 //	obsdump -in results.json -cell CG/ilan perfetto > cg.trace.json
+//	obsdump -in results.json -cell CG/ilan timeline    # per-node occupancy
+//	obsdump -in results.json -cell CG/ilan trace > cg.jsonl
 //	obsdump -in attr.json attr                         # attribution tables
 //	obsdump -in attr.json -cell CG/ilan attr           # one cell, with loops
 //
-// The perfetto format (also spellable as a trailing argument, as above)
-// converts the cell's rep-0 task trace plus its decision trace into
-// Chrome trace-event JSON for https://ui.perfetto.dev; the campaign must
-// have run with ilanexp -perfetto (or any config that records a task
-// trace into the -out file).
+// The decisions format ends with the PTT's view of every loop in
+// repetition 0: the configuration it ran last, the mean score of each
+// thread count it explored, and what the exploration cost against the
+// settled mean (computed like ilan.Scheduler.Regret).
+//
+// The perfetto, timeline and trace formats (any format is also spellable
+// as a trailing argument, as above) read the cell's rep-0 task trace:
+// perfetto converts it plus the decision trace into Chrome trace-event
+// JSON for https://ui.perfetto.dev, timeline prints a trace digest and an
+// ASCII per-node occupancy chart, and trace writes the raw task and loop
+// events as JSON lines. The campaign must have run with ilanexp -perfetto
+// (or any config that records a task trace into the -out file).
 //
 // The attr format renders the virtual-time attribution reports written by
 // ilanexp -attr (DESIGN.md §14): without -cell, a per-scheduler table of
 // every cell's task-time decomposition plus comparison bars; with -cell,
 // that cell's full breakdown including per-resource interference and the
-// per-loop makespan terms.
+// per-loop makespan terms with each loop's mean makespan per execution.
 package main
 
 import (
@@ -38,13 +47,15 @@ import (
 	"github.com/ilan-sched/ilan/internal/chrometrace"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/results"
+	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/textchart"
+	"github.com/ilan-sched/ilan/internal/timeline"
 )
 
 func main() {
 	in := flag.String("in", "", "campaign JSON written by ilanexp -metrics -out (required)")
 	cell := flag.String("cell", "", "cell to dump, as bench/kind (e.g. CG/ilan); empty lists cells")
-	format := flag.String("format", "summary", "output: summary|prom|folded|decisions|json|perfetto|attr")
+	format := flag.String("format", "summary", "output: summary|prom|folded|decisions|json|perfetto|timeline|trace|attr")
 	flag.Parse()
 
 	// A single trailing argument is a format alias (`obsdump -in f.json
@@ -65,9 +76,9 @@ func main() {
 		os.Exit(2)
 	}
 	switch *format {
-	case "summary", "prom", "folded", "decisions", "json", "perfetto", "attr":
+	case "summary", "prom", "folded", "decisions", "json", "perfetto", "timeline", "trace", "attr":
 	default:
-		fmt.Fprintf(os.Stderr, "obsdump: unknown format %q (valid: summary, prom, folded, decisions, json, perfetto, attr)\n", *format)
+		fmt.Fprintf(os.Stderr, "obsdump: unknown format %q (valid: summary, prom, folded, decisions, json, perfetto, timeline, trace, attr)\n", *format)
 		os.Exit(2)
 	}
 
@@ -108,8 +119,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "obsdump: no cell %q in %s (try obsdump -in %s to list)\n", *cell, *in, *in)
 		os.Exit(1)
 	}
-	if *format == "perfetto" {
-		if err := writePerfetto(target); err != nil {
+	switch *format {
+	case "perfetto", "timeline", "trace":
+		if target.Trace == nil {
+			fmt.Fprintf(os.Stderr, "obsdump: cell %s has no task trace (rerun the campaign with ilanexp -perfetto, or any tracing config)\n", *cell)
+			os.Exit(1)
+		}
+		switch *format {
+		case "perfetto":
+			err = writePerfetto(target)
+		case "timeline":
+			err = writeTimeline(target.Trace)
+		default:
+			err = target.Trace.WriteJSONL(os.Stdout)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "obsdump:", err)
 			os.Exit(1)
 		}
@@ -129,7 +153,7 @@ func main() {
 	case "json":
 		err = snap.WriteJSON(os.Stdout)
 	case "decisions":
-		err = writeDecisions(snap)
+		err = writeDecisions(snap, target.Trace)
 	default:
 		err = writeSummary(*cell, snap)
 	}
@@ -142,9 +166,6 @@ func main() {
 // writePerfetto converts the cell's rep-0 task trace (plus its rep-0
 // decisions, when recorded) to Chrome trace-event JSON on stdout.
 func writePerfetto(c *results.Cell) error {
-	if c.Trace == nil {
-		return fmt.Errorf("cell %s/%s has no task trace (rerun the campaign with ilanexp -perfetto, or any tracing config)", c.Bench, c.Kind)
-	}
 	var decisions []obs.Decision
 	if c.Obs != nil {
 		for _, d := range c.Obs.Decisions {
@@ -213,25 +234,140 @@ func writeSummary(name string, s *obs.Snapshot) error {
 	return nil
 }
 
-func writeDecisions(s *obs.Snapshot) error {
+func writeDecisions(s *obs.Snapshot, tr *taskrt.Trace) error {
 	if s.DecisionsTotal == 0 {
 		return fmt.Errorf("no decision trace in this cell (rerun with -trace-decisions)")
 	}
 	fmt.Printf("%12s %4s %5s %3s %-10s %8s %18s %6s %14s\n",
 		"t(virt s)", "rep", "loop", "k", "phase", "threads", "mask", "steal", "score")
 	for _, d := range s.Decisions {
-		policy := "strict"
-		if d.StealFull {
-			policy = "full"
-		}
 		fmt.Printf("%12.6f %4d %5d %3d %-10s %8d %#18x %6s %14.6g\n",
-			d.TimeSec, d.Rep, d.LoopID, d.K, d.Phase, d.Threads, d.NodeMask, policy, d.Score)
+			d.TimeSec, d.Rep, d.LoopID, d.K, d.Phase, d.Threads, d.NodeMask, policy(d.StealFull), d.Score)
 	}
 	if int(s.DecisionsTotal) > len(s.Decisions) {
 		fmt.Printf("(%d older decisions were dropped by the per-run ring buffer)\n",
 			int(s.DecisionsTotal)-len(s.Decisions))
 	}
+	writePTT(s.Decisions, tr)
 	return nil
+}
+
+func policy(stealFull bool) string {
+	if stealFull {
+		return "full"
+	}
+	return "strict"
+}
+
+// loopPTT is the PTT's view of one loop, rebuilt from a run's decisions.
+type loopPTT struct {
+	id   int
+	last obs.Decision // the loop's last execution: its chosen configuration
+	// explored maps each thread count tried in the explore phase to its
+	// mean score.
+	explored map[int]float64
+	// cost is the summed excess of the unsettled executions over
+	// settledMean, as ilan.Scheduler.Regret computes it; settled is false
+	// when the loop never settled.
+	cost, settledMean float64
+	settled           bool
+}
+
+// pttOf rebuilds every loop's PTT view from repetition rep's decisions,
+// in first-decision order.
+func pttOf(decisions []obs.Decision, rep int) []loopPTT {
+	var order []int
+	byLoop := map[int][]obs.Decision{}
+	for _, d := range decisions {
+		if d.Rep != rep {
+			continue
+		}
+		if _, ok := byLoop[d.LoopID]; !ok {
+			order = append(order, d.LoopID)
+		}
+		byLoop[d.LoopID] = append(byLoop[d.LoopID], d)
+	}
+	out := make([]loopPTT, 0, len(order))
+	for _, id := range order {
+		ds := byLoop[id]
+		l := loopPTT{id: id, last: ds[len(ds)-1], explored: map[int]float64{}}
+		counts := map[int]int{}
+		var settledN int
+		for _, d := range ds {
+			switch d.Phase {
+			case "settled":
+				l.settledMean += d.Score
+				settledN++
+			case "explore":
+				l.explored[d.Threads] += d.Score
+				counts[d.Threads]++
+			}
+		}
+		for th, n := range counts {
+			l.explored[th] /= float64(n)
+		}
+		if l.settled = settledN > 0; l.settled {
+			l.settledMean /= float64(settledN)
+			for _, d := range ds {
+				if d.Phase != "settled" {
+					l.cost += d.Score - l.settledMean
+				}
+			}
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// writePTT prints the PTT footer for repetition 0. Loop names come from
+// the task trace when the cell carries one.
+func writePTT(decisions []obs.Decision, tr *taskrt.Trace) {
+	loops := pttOf(decisions, 0)
+	if len(loops) == 0 {
+		return
+	}
+	names := map[int]string{}
+	if tr != nil {
+		for _, l := range tr.Loops {
+			names[l.LoopID] = l.LoopName
+		}
+	}
+	fmt.Printf("\nPTT per loop (rep 0; scores in the objective's unit):\n")
+	for _, l := range loops {
+		fmt.Printf("loop %-4d %-12s phase=%-10s chosen={threads=%d mask=%#x steal=%s}",
+			l.id, names[l.id], l.last.Phase, l.last.Threads, l.last.NodeMask, policy(l.last.StealFull))
+		if l.settled {
+			fmt.Printf("  exploration-cost=%.6g (settled mean %.6g)", l.cost, l.settledMean)
+		}
+		fmt.Println()
+		threads := make([]int, 0, len(l.explored))
+		for th := range l.explored {
+			threads = append(threads, th)
+		}
+		sort.Ints(threads)
+		for _, th := range threads {
+			fmt.Printf("    threads=%-3d mean=%.6g\n", th, l.explored[th])
+		}
+	}
+}
+
+// writeTimeline prints the trace digest and the per-node occupancy chart.
+// Node rows come from the per-node resource samples, which cover every
+// node, so nodes a molded plan left idle still show as blank rows.
+func writeTimeline(tr *taskrt.Trace) error {
+	nodes, cores := 0, 0
+	for _, r := range tr.Resources {
+		nodes = max(nodes, r.Node+1)
+	}
+	for _, t := range tr.Tasks {
+		cores = max(cores, t.Core+1)
+	}
+	if nodes == 0 {
+		return fmt.Errorf("task trace has no per-node resource samples")
+	}
+	fmt.Println(tr.Summary(nodes))
+	fmt.Println()
+	return timeline.Render(os.Stdout, tr, timeline.Options{ByNode: true, Cores: cores, Nodes: nodes})
 }
 
 // writeAttr renders the virtual-time attribution reports (DESIGN.md §14).
@@ -313,9 +449,9 @@ func writeAttr(file *results.File, cellName string) error {
 			}
 		}
 		if len(c.Attr.Loops) > 0 {
-			fmt.Printf("\nloop makespan attribution (core-seconds):\n\n")
-			fmt.Printf("%-16s %6s %12s %12s %12s %12s %12s %12s %12s %12s\n",
-				"loop", "execs", "core", "select", "task", "steal", "imbal", "barrier", "qwait", "residual")
+			fmt.Printf("\nloop makespan attribution (core-seconds; mean = makespan seconds per execution):\n\n")
+			fmt.Printf("%-16s %6s %12s %12s %12s %12s %12s %12s %12s %12s %12s\n",
+				"loop", "execs", "mean", "core", "select", "task", "steal", "imbal", "barrier", "qwait", "residual")
 			names := make([]string, 0, len(c.Attr.Loops))
 			for n := range c.Attr.Loops {
 				names = append(names, n)
@@ -323,8 +459,12 @@ func writeAttr(file *results.File, cellName string) error {
 			sort.Strings(names)
 			for _, n := range names {
 				l := c.Attr.Loops[n]
-				fmt.Printf("%-16s %6d %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.3g\n",
-					n, l.Executions, l.CoreSec, l.SelectSec, l.TaskSec, l.StealSec,
+				mean := 0.0
+				if l.Executions > 0 {
+					mean = l.MakespanSec / float64(l.Executions)
+				}
+				fmt.Printf("%-16s %6d %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.3g\n",
+					n, l.Executions, mean, l.CoreSec, l.SelectSec, l.TaskSec, l.StealSec,
 					l.ImbalanceSec, l.BarrierSec, l.QueueWaitSec, l.ResidualSec)
 			}
 		}

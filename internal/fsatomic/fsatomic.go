@@ -4,7 +4,7 @@
 // can therefore never leave a truncated file under the destination name —
 // the previous version (if any) survives intact until the rename.
 //
-// The campaign result writers (ilanexp -out, -perfetto, tracedump -o) and
+// The campaign result writers (ilanexp -out, -perfetto, -attr) and
 // the campaign cache (internal/cellcache) share this helper: both persist
 // JSON documents whose readers reject partial content, so a torn write
 // would clobber a good file with an unreadable one.

@@ -17,7 +17,7 @@ func TestAttrOutputNeutral(t *testing.T) {
 		cfg.Reps = 3
 		cfg.Metrics = true
 		cfg.Attr = attr
-		cell, err := RunCell(mustBench(t, "CG"), KindILAN, cfg)
+		cell, err := runCell(mustBench(t, "CG"), KindILAN, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestAttrMergedJobsInvariant(t *testing.T) {
 		cfg.Reps = 4
 		cfg.Jobs = jobs
 		cfg.Attr = true
-		cell, err := RunCell(mustBench(t, "FT"), KindILAN, cfg)
+		cell, err := runCell(mustBench(t, "FT"), KindILAN, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestAttrCGILANBeatsObliviousBaseline(t *testing.T) {
 		cfg := testConfig()
 		cfg.Reps = 2
 		cfg.Attr = true
-		cell, err := RunCell(mustBench(t, "CG"), k, cfg)
+		cell, err := runCell(mustBench(t, "CG"), k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

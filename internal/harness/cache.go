@@ -8,7 +8,6 @@ import (
 	"github.com/ilan-sched/ilan/internal/cellcache"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/topology"
-	"github.com/ilan-sched/ilan/internal/workloads"
 )
 
 // The campaign cache key contract (DESIGN.md §13).
@@ -30,13 +29,19 @@ import (
 //   - observability settings that change the stored payload (Metrics,
 //     TraceDecisions, DecisionCap, TraceTasks for rep 0, and Attr — the
 //     attribution report rides inside the cached RunSample),
-//   - for multiprogrammed units (cacheKeyForMulti), the co-run descriptor
-//     (benchmark list + arrival spread): it determines the whole workload.
-//     Solo units normalize Multi out — a solo simulation never reads it —
-//     so RunMulti's solo reference cells share entries with plain solo
-//     campaigns. Multi units conversely normalize Attr out (attribution is
-//     not collected for co-run units) and carry no Bench (the descriptor
-//     names the scenario).
+//   - for co-run units, the co-run descriptor (benchmark list + arrival
+//     spread): it determines the whole workload. Solo units normalize
+//     Multi out — a solo simulation never reads it — so RunMulti's solo
+//     reference cells share entries with plain solo campaigns. Co-run
+//     units conversely normalize Attr out (attribution is not collected
+//     for co-run units) and carry no Bench (the descriptor names the
+//     scenario),
+//   - for the oracle's fixed-configuration units, the pinned (threads,
+//     steal policy); they run with every observer off, so their
+//     observability inputs are normalized out.
+//
+// The unit constructors (unit.go) apply these normalizations to the unit's
+// config, so the key is built from what the simulation actually reads.
 //
 // Normalized out (proven output-neutral, so runs share entries across
 // them): Reps (the rep index, not the campaign width, feeds the seed),
@@ -78,28 +83,30 @@ type cacheKeyInputs struct {
 	// Multi is nil for solo units; for co-run units it is the workload
 	// descriptor and Bench is empty.
 	Multi *CoRun `json:"multi,omitempty"`
+	// Fixed is the pinned configuration of an oracle unit (nil otherwise),
+	// which keeps fixed points apart from ordinary ILAN units.
+	Fixed *fixedConfig `json:"fixed,omitempty"`
 }
 
-// cacheKeyFor computes the unit's content address. The zero-value
-// topology normalizes to the default the run would actually use, so
-// cfg.Topo == Spec{} and cfg.Topo == Zen4Vera() share entries (they run
-// the same machine). TraceTasks only affects repetition 0 (harness only
-// records rep 0's trace), so it is normalized to false for other reps.
-func cacheKeyFor(b workloads.Benchmark, k Kind, cfg Config, rep int) string {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
+// key computes the unit's content address. The zero-value topology
+// normalizes to the default the run would actually use, so cfg.Topo ==
+// Spec{} and cfg.Topo == Zen4Vera() share entries (they run the same
+// machine). TraceTasks only affects repetition 0 (units only record rep 0's
+// trace), so it is normalized to false for other reps. Co-run units carry
+// no Bench (the descriptor names the workload); solo units carry no Multi
+// and no Fixed, so their keys are the ones earlier builds wrote.
+func (u *unit) key() string {
+	cfg := &u.cfg
 	in := cacheKeyInputs{
 		Fingerprint:  simFingerprint,
 		EntryVersion: cellcache.Version,
-		Bench:        b.Name,
+		Bench:        u.bench.Name,
 		Class:        cfg.Class.String(),
-		Kind:         k.String(),
-		Rep:          rep,
+		Kind:         u.kind.String(),
+		Rep:          u.rep,
 		Seed:         cfg.Seed,
 		Noise:        cfg.Noise,
-		Topo:         topoSpec,
+		Topo:         cfg.topoSpec(),
 		Disturb:      cfg.Disturb,
 		ControllerBW: cfg.ControllerBW,
 		LinkBW:       cfg.LinkBW,
@@ -109,136 +116,51 @@ func cacheKeyFor(b workloads.Benchmark, k Kind, cfg Config, rep int) string {
 		Metrics:      cfg.Metrics,
 		TraceDecs:    cfg.TraceDecisions,
 		DecisionCap:  cfg.DecisionCap,
-		TraceTasks:   cfg.TraceTasks && rep == 0,
+		TraceTasks:   cfg.TraceTasks && u.rep == 0,
 		Attr:         cfg.Attr,
+		Multi:        cfg.Multi,
+		Fixed:        u.fixed,
 	}
 	data, err := json.Marshal(in)
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail unless a
 		// float override is NaN/Inf — then no stable key exists, so
-		// return an invalid one (the cache rejects it; the unit runs
-		// uncached).
+		// return an invalid one (the unit runs uncached).
 		return ""
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 
-// cacheKeyForMulti computes a co-run unit's content address: the same
-// inputs as a solo unit minus the benchmark name (the co-run descriptor
-// carries the benchmark list) and with Attr normalized out (co-run units
-// never collect attribution — see multiUnitConfig).
-func cacheKeyForMulti(k Kind, cfg Config, rep int) string {
-	if cfg.Multi == nil {
-		return ""
+// memo returns a unit's sample from the cache, or runs it and commits the
+// result. The key is computed only when a cache is attached. A sample
+// round-trips losslessly through JSON: Go prints floats in the shortest
+// form that parses back exactly, and the results writer re-encodes through
+// the same marshaler, so a campaign assembled from cached units is
+// byte-identical to a cold run. A stored payload that no longer decodes
+// into this build's sample type is treated as corrupt: dropped and
+// recomputed. Put failures are swallowed (the cache is an accelerator,
+// never a correctness dependency); they show in the cache's error counter.
+func memo[T any](c *cellcache.Cache, key func() string, run func() (T, error)) (T, error) {
+	if c == nil {
+		return run()
 	}
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
+	k := key()
+	if k == "" {
+		return run()
 	}
-	in := cacheKeyInputs{
-		Fingerprint:  simFingerprint,
-		EntryVersion: cellcache.Version,
-		Class:        cfg.Class.String(),
-		Kind:         k.String(),
-		Rep:          rep,
-		Seed:         cfg.Seed,
-		Noise:        cfg.Noise,
-		Topo:         topoSpec,
-		Disturb:      cfg.Disturb,
-		ControllerBW: cfg.ControllerBW,
-		LinkBW:       cfg.LinkBW,
-		CoreStreamBW: cfg.CoreStreamBW,
-		Alpha:        cfg.Alpha,
-		Beta:         cfg.Beta,
-		Metrics:      cfg.Metrics,
-		TraceDecs:    cfg.TraceDecisions,
-		DecisionCap:  cfg.DecisionCap,
-		TraceTasks:   cfg.TraceTasks && rep == 0,
-		Multi:        cfg.Multi,
+	if data, ok := c.Get(k); ok {
+		var s T
+		if err := json.Unmarshal(data, &s); err == nil {
+			return s, nil
+		}
+		c.Discard(k)
 	}
-	data, err := json.Marshal(in)
-	if err != nil {
-		return "" // NaN/Inf spread: no stable key; the unit runs uncached
+	s, err := run()
+	if err == nil {
+		if data, err := json.Marshal(s); err == nil {
+			_ = c.Put(k, data)
+		}
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// cacheGetMulti returns the cached co-run sample for a unit, if sound.
-func cacheGetMulti(c *cellcache.Cache, key string) (MultiSample, bool) {
-	if c == nil || key == "" {
-		return MultiSample{}, false
-	}
-	data, ok := c.Get(key)
-	if !ok {
-		return MultiSample{}, false
-	}
-	var s MultiSample
-	if err := json.Unmarshal(data, &s); err != nil {
-		c.Discard(key)
-		return MultiSample{}, false
-	}
-	return s, true
-}
-
-// cachePutMulti commits a freshly computed co-run unit result.
-func cachePutMulti(c *cellcache.Cache, key string, s MultiSample) {
-	if c == nil || key == "" {
-		return
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return
-	}
-	_ = c.Put(key, data)
-}
-
-// encodeSample serializes a unit result for the cache. RunSample (with its
-// obs snapshot and rep-0 task trace) round-trips losslessly through JSON:
-// Go prints floats in the shortest form that parses back exactly, and the
-// results writer re-encodes through the same marshaler, so a campaign
-// assembled from cached units is byte-identical to a cold run.
-func encodeSample(s RunSample) ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// decodeSample parses a cached unit result.
-func decodeSample(data []byte) (RunSample, error) {
-	var s RunSample
-	err := json.Unmarshal(data, &s)
 	return s, err
-}
-
-// cacheGet returns the cached sample for a unit, if a sound one exists.
-func cacheGet(c *cellcache.Cache, key string) (RunSample, bool) {
-	if c == nil || key == "" {
-		return RunSample{}, false
-	}
-	data, ok := c.Get(key)
-	if !ok {
-		return RunSample{}, false
-	}
-	s, err := decodeSample(data)
-	if err != nil {
-		// The envelope was sound but the payload does not decode into
-		// this build's RunSample — treat as corrupt: drop and recompute.
-		c.Discard(key)
-		return RunSample{}, false
-	}
-	return s, true
-}
-
-// cachePut commits a freshly computed unit result. Failures are swallowed
-// (the cache is an accelerator, never a correctness dependency); they are
-// visible in the cache's error counter.
-func cachePut(c *cellcache.Cache, key string, s RunSample) {
-	if c == nil || key == "" {
-		return
-	}
-	data, err := encodeSample(s)
-	if err != nil {
-		return
-	}
-	_ = c.Put(key, data)
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,7 +26,18 @@ func baseUnit(t *testing.T) keyUnit {
 	return keyUnit{bench: mustBench(t, "CG"), kind: KindBaseline, cfg: testConfig(), rep: 0}
 }
 
-func (u keyUnit) key() string { return cacheKeyFor(u.bench, u.kind, u.cfg, u.rep) }
+func (u keyUnit) key() string {
+	su := soloUnit(u.bench, u.kind, u.cfg)
+	su.rep = u.rep
+	return su.key()
+}
+
+// multiKey is the key of one co-run unit of the workload cfg.Multi names.
+func multiKey(k Kind, cfg Config, rep int) string {
+	u := coRunUnit(nil, k, cfg)
+	u.rep = rep
+	return u.key()
+}
 
 func TestCacheKeyIsStableHex(t *testing.T) {
 	u := baseUnit(t)
@@ -115,11 +127,11 @@ func TestCacheKeyPerturbation(t *testing.T) {
 func TestCacheKeyMultiPerturbation(t *testing.T) {
 	base := testConfig()
 	base.Multi = &CoRun{Benches: []string{"CG", "FT"}}
-	baseKey := cacheKeyForMulti(KindBaseline, base, 0)
+	baseKey := multiKey(KindBaseline, base, 0)
 	if baseKey == "" {
 		t.Fatal("multi key empty for a valid co-run config")
 	}
-	if baseKey == cacheKeyFor(mustBench(t, "CG"), KindBaseline, base, 0) {
+	if baseKey == (keyUnit{bench: mustBench(t, "CG"), kind: KindBaseline, cfg: base}).key() {
 		t.Fatal("multi key collides with a solo key")
 	}
 	perturb := map[string]func(*Config) (Kind, int){
@@ -143,15 +155,60 @@ func TestCacheKeyMultiPerturbation(t *testing.T) {
 		cfg := testConfig()
 		cfg.Multi = &CoRun{Benches: []string{"CG", "FT"}}
 		k, rep := mut(&cfg)
-		if cacheKeyForMulti(k, cfg, rep) == baseKey {
+		if multiKey(k, cfg, rep) == baseKey {
 			t.Errorf("perturbing %s did not change the multi cache key", name)
 		}
 	}
 	// Attr is normalized out of multi keys (co-run units never collect it).
 	attrCfg := base
 	attrCfg.Attr = true
-	if cacheKeyForMulti(KindBaseline, attrCfg, 0) != baseKey {
+	if multiKey(KindBaseline, attrCfg, 0) != baseKey {
 		t.Error("attr changed the multi cache key despite being normalized out")
+	}
+}
+
+// TestCacheKeysPinned pins the hex keys of one solo and one co-run unit as
+// the separate solo and co-run key builders of earlier builds computed
+// them, so existing .ilan-cache entries stay valid. A deliberate change to
+// the key contract bumps simFingerprint and updates these values.
+func TestCacheKeysPinned(t *testing.T) {
+	solo := keyUnit{bench: mustBench(t, "CG"), kind: KindILAN, cfg: testConfig(), rep: 1}
+	if got, want := solo.key(), "49a3f03e22d94a7bbeca97bea89f24ddb0becff0d96ea2d45fb5f472e664e897"; got != want {
+		t.Errorf("solo key = %s, want %s", got, want)
+	}
+	obsCfg := testConfig()
+	obsCfg.Metrics, obsCfg.TraceDecisions, obsCfg.TraceTasks, obsCfg.Attr = true, true, true, true
+	observed := keyUnit{bench: mustBench(t, "FT"), kind: KindBaseline, cfg: obsCfg}
+	if got, want := observed.key(), "8973434ec15b4f30163f574c39a17deb31d6d784d10af061015fe3975713880e"; got != want {
+		t.Errorf("observed solo key = %s, want %s", got, want)
+	}
+	co := testConfig()
+	co.Multi = &CoRun{Benches: []string{"CG", "FT"}, ArrivalSpreadSec: 0.05}
+	if got, want := multiKey(KindILAN, co, 1), "dbe30f218b672bc8bc06e6205597db302ce0bcca407016d4b6214fbbd6b61ce2"; got != want {
+		t.Errorf("co-run key = %s, want %s", got, want)
+	}
+}
+
+// TestCacheKeyFixedUnitsDistinct: an oracle fixed point runs ILAN with a
+// pinned configuration, so it must never share an entry with the ordinary
+// ILAN unit of the same benchmark and rep, nor with another fixed point.
+func TestCacheKeyFixedUnitsDistinct(t *testing.T) {
+	b := mustBench(t, "CG")
+	for _, cfg := range []Config{testConfig(), func() Config {
+		c := testConfig()
+		c.Metrics, c.TraceDecisions, c.TraceTasks, c.Attr = true, true, true, true
+		return c
+	}()} {
+		solo := keyUnit{bench: b, kind: KindILAN, cfg: cfg}.key()
+		seen := map[string]bool{solo: true}
+		for _, fc := range []fixedConfig{{Threads: 16}, {Threads: 16, StealFull: true}, {Threads: 8}} {
+			u := fixedUnit(b, fc, cfg)
+			k := u.key()
+			if seen[k] {
+				t.Fatalf("fixed unit %+v shares a key with a solo ILAN unit or another fixed point", fc)
+			}
+			seen[k] = true
+		}
 	}
 }
 
@@ -190,7 +247,7 @@ func TestCacheKeyClassifiesEveryConfigField(t *testing.T) {
 		"CoreStreamBW": true, "Alpha": true, "Beta": true, "Metrics": true,
 		"TraceDecisions": true, "DecisionCap": true, "TraceTasks": true,
 		"Attr": true,
-		// Multi is key-bearing for co-run units (cacheKeyForMulti) and
+		// Multi is key-bearing for co-run units (coRunUnit) and
 		// normalized out of solo keys (a solo simulation never reads it).
 		"Multi": true,
 	}
@@ -260,8 +317,8 @@ func TestRunOneCacheRoundTrip(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 miss + 1 hit", st)
 	}
-	ce, _ := encodeSample(cold)
-	we, _ := encodeSample(warm)
+	ce, _ := json.Marshal(cold)
+	we, _ := json.Marshal(warm)
 	if string(ce) != string(we) {
 		t.Fatalf("warm sample not byte-identical:\ncold: %s\nwarm: %s", ce, we)
 	}
@@ -272,7 +329,7 @@ func TestRunOneCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, _ := encodeSample(ref)
+	re, _ := json.Marshal(ref)
 	if string(ce) != string(re) {
 		t.Fatal("cached sample differs from an uncached run")
 	}
@@ -367,7 +424,7 @@ func TestTrackerSnapshotCarriesCacheStats(t *testing.T) {
 	cfg.Reps = 1
 	cfg.Cache = openTestCache(t)
 	cfg.Track = NewTracker()
-	if _, err := RunCell(b, KindILAN, cfg); err != nil {
+	if _, err := runCell(b, KindILAN, cfg); err != nil {
 		t.Fatal(err)
 	}
 	snap := cfg.Track.Snapshot()

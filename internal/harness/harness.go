@@ -281,126 +281,9 @@ func (c *Cell) MeanThreads() float64 {
 // before returning, so an interrupted campaign's completed units survive
 // for the resuming run.
 func RunOne(b workloads.Benchmark, k Kind, cfg Config, rep int) (RunSample, error) {
-	if cfg.Cache == nil {
-		return runOneUncached(b, k, cfg, rep)
-	}
-	key := cacheKeyFor(b, k, cfg, rep)
-	if s, ok := cacheGet(cfg.Cache, key); ok {
-		return s, nil
-	}
-	s, err := runOneUncached(b, k, cfg, rep)
-	if err == nil {
-		cachePut(cfg.Cache, key, s)
-	}
-	return s, err
-}
-
-// buildMachine constructs the fresh simulated machine one repetition runs
-// on: topology defaulting, per-rep seed derivation, model overrides, and
-// disturbance injection — shared by the solo (RunOne) and multiprogram
-// (RunMulti) unit paths so a given (cfg, rep) always means the same
-// machine.
-func buildMachine(cfg Config, rep int) *machine.Machine {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
-	mc := machine.Config{
-		Topo:         topology.MustNew(topoSpec),
-		Seed:         cfg.Seed ^ (uint64(rep)+1)*0x9e3779b97f4a7c15,
-		Noise:        cfg.Noise,
-		Alpha:        -1,
-		ControllerBW: cfg.ControllerBW,
-		LinkBW:       cfg.LinkBW,
-		CoreStreamBW: cfg.CoreStreamBW,
-		NoCoalesce:   cfg.NoCoalesce,
-	}
-	if cfg.Alpha != nil {
-		mc.Alpha = *cfg.Alpha
-	}
-	if cfg.Beta != nil {
-		mc.Beta = *cfg.Beta
-		if *cfg.Beta == 0 {
-			mc.Beta = -1 // machine.Config uses negative to force zero
-		}
-	}
-	m := machine.New(mc)
-	if d := cfg.Disturb; d != nil {
-		slow, load := d.Slowdown, d.MemLoad
-		if slow == 0 {
-			slow = 0.6
-		}
-		if load == 0 {
-			load = 8
-		}
-		m.DisturbNode(d.Node, slow, load)
-	}
-	return m
-}
-
-// runOneUncached is the raw simulation path behind RunOne.
-func runOneUncached(b workloads.Benchmark, k Kind, cfg Config, rep int) (RunSample, error) {
-	m := buildMachine(cfg, rep)
-	prog := b.Build(m, cfg.Class)
-	rt := taskrt.New(m, NewScheduler(k), taskrt.DefaultCosts())
-	var run *obs.Run
-	if cfg.obsEnabled() {
-		run = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
-		rt.SetObs(run)
-	}
-	var trace *taskrt.Trace
-	if cfg.TraceTasks && rep == 0 {
-		trace = rt.EnableTracing()
-	}
-	if cfg.Attr {
-		rt.EnableAttr()
-	}
-	res, err := rt.RunProgram(prog)
-	if err != nil {
-		return RunSample{}, fmt.Errorf("harness: %s/%s rep %d: %w", b.Name, k, rep, err)
-	}
-	var snap *obs.Snapshot
-	if run != nil {
-		rt.FinalizeObs()
-		snap = run.Snapshot()
-		for i := range snap.Decisions {
-			snap.Decisions[i].Rep = rep
-		}
-	}
-	return RunSample{
-		ElapsedSec:      float64(res.Elapsed),
-		OverheadSec:     res.OverheadSec,
-		WeightedThreads: res.WeightedAvgThreads,
-		StealsLocal:     res.StealsLocal,
-		StealsRemote:    res.StealsRemote,
-		Tasks:           res.TasksExecuted,
-		Obs:             snap,
-		Trace:           trace,
-		Attr:            rt.AttrSnapshot(),
-	}, nil
-}
-
-// RunCell executes all repetitions of one (benchmark, kind) pair,
-// fanning them across cfg.Jobs workers. Samples stay in repetition order.
-func RunCell(b workloads.Benchmark, k Kind, cfg Config) (*Cell, error) {
-	cfg.Track.Begin(b.Name+"/"+k.String(),
-		[]CellDecl{{Name: b.Name + "/" + k.String(), Units: cfg.Reps}})
-	cfg.Track.AttachCache(cfg.Cache)
-	c := &Cell{Bench: b.Name, Kind: k, Samples: make([]RunSample, cfg.Reps)}
-	err := ForEachCancel(cfg.Jobs, cfg.Reps, cfg.Cancel, func(rep int) error {
-		s, err := RunOne(b, k, cfg, rep)
-		cfg.Track.UnitDone(0, rep, s.Obs, s.Attr, err)
-		if err != nil {
-			return err
-		}
-		c.Samples[rep] = s
-		return nil
-	})
-	cfg.Track.Finish(err)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	u := soloUnit(b, k, cfg)
+	u.rep = rep
+	return u.runSolo()
 }
 
 // Matrix holds results for a set of benchmarks under a set of kinds.
@@ -416,46 +299,9 @@ type Matrix struct {
 // from the calling goroutine as each cell is enqueued.
 func Run(benches []workloads.Benchmark, kinds []Kind, cfg Config,
 	progress func(bench string, k Kind)) (*Matrix, error) {
-	mx := &Matrix{cells: make(map[string]map[Kind]*Cell)}
-	type unit struct {
-		bench workloads.Benchmark
-		kind  Kind
-		rep   int
-		cell  *Cell
-		track int // tracker cell index
-	}
-	var units []unit
-	var decls []CellDecl
-	for _, b := range benches {
-		mx.Benches = append(mx.Benches, b.Name)
-		mx.cells[b.Name] = make(map[Kind]*Cell)
-		for _, k := range kinds {
-			if progress != nil {
-				progress(b.Name, k)
-			}
-			cell := &Cell{Bench: b.Name, Kind: k, Samples: make([]RunSample, cfg.Reps)}
-			mx.cells[b.Name][k] = cell
-			ti := len(decls)
-			decls = append(decls, CellDecl{Name: b.Name + "/" + k.String(), Units: cfg.Reps})
-			for rep := 0; rep < cfg.Reps; rep++ {
-				units = append(units, unit{bench: b, kind: k, rep: rep, cell: cell, track: ti})
-			}
-		}
-	}
-	cfg.Track.Begin("campaign", decls)
-	cfg.Track.AttachCache(cfg.Cache)
-	err := ForEachCancel(cfg.Jobs, len(units), cfg.Cancel, func(i int) error {
-		u := units[i]
-		s, err := RunOne(u.bench, u.kind, cfg, u.rep)
-		cfg.Track.UnitDone(u.track, u.rep, s.Obs, s.Attr, err)
-		if err != nil {
-			return err
-		}
-		u.cell.Samples[u.rep] = s
-		return nil
-	})
-	cfg.Track.Finish(err)
-	if err != nil {
+	var cp campaign
+	mx := cp.matrix(benches, kinds, cfg, progress)
+	if err := cp.run(cfg, "campaign", nil); err != nil {
 		return nil, err
 	}
 	return mx, nil

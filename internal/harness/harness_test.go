@@ -21,6 +21,15 @@ func testConfig() Config {
 	}
 }
 
+// runCell runs one (benchmark, kind) pair as a one-cell campaign.
+func runCell(b workloads.Benchmark, k Kind, cfg Config) (*Cell, error) {
+	mx, err := Run([]workloads.Benchmark{b}, []Kind{k}, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return mx.Cell(b.Name, k), nil
+}
+
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindBaseline:    "baseline",
@@ -107,7 +116,7 @@ func TestRunCellRepCount(t *testing.T) {
 	b, _ := workloads.ByName("Matmul")
 	cfg := testConfig()
 	cfg.Reps = 3
-	cell, err := RunCell(b, KindWorkSharing, cfg)
+	cell, err := runCell(b, KindWorkSharing, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

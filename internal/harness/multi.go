@@ -14,16 +14,16 @@ import (
 // The multiprogrammed campaign ("multi" experiment): N benchmarks co-run
 // as one workload on one machine, and each program's makespan is compared
 // against the same benchmark running alone under the same scheduler —
-// the slowdown-vs-solo metric. The campaign has two phases:
+// the slowdown-vs-solo metric. The campaign holds two sets of units:
 //
-//  1. solo reference: a plain campaign over the distinct benchmarks (the
-//     denominator), cache-shared with ordinary solo campaigns;
-//  2. co-run: one workload per (kind, rep), all programs submitted
+//  1. solo references over the distinct benchmarks (the denominator),
+//     cache-shared with ordinary solo campaigns;
+//  2. co-run units, one workload per (kind, rep), all programs submitted
 //     through the runtime's admission queue with the configured arrival
 //     spread.
 //
-// Both phases fan across cfg.Jobs workers with the usual determinism
-// contract: outputs are byte-identical for every Jobs value.
+// Both fan across cfg.Jobs workers with the usual determinism contract:
+// outputs are byte-identical for every Jobs value.
 
 // CoRun describes the co-run scenario: which benchmarks run together and
 // over how many seconds their arrivals are spread (0 = all at t=0). The
@@ -151,35 +151,17 @@ func (mm *MultiMatrix) Slowdown(k Kind, pi int) float64 {
 	return stats.Mean(c.Makespans(pi)) / soloMean
 }
 
-// soloConfig strips the multi descriptor so the reference cells are
-// ordinary solo units (identical cache keys to a plain solo campaign) and
-// drops per-rep tracing: the solo phase exists for the makespan
-// denominator, not for trace export.
-func soloConfig(cfg Config) Config {
-	cfg.Multi = nil
-	cfg.TraceTasks = false
-	return cfg
-}
-
-// multiUnitConfig normalizes the fields that do not apply to co-run units
-// (attribution is a solo-program report; see multi key normalization in
-// cache.go).
-func multiUnitConfig(cfg Config) Config {
-	cfg.Attr = false
-	return cfg
-}
-
 // RunMulti executes the multiprogrammed campaign cfg.Multi describes for
-// the given scheduler kinds: first the solo reference campaign over the
-// distinct benchmarks, then one co-run workload per (kind, repetition).
-// progress, if non-nil, is called as each co-run cell is enqueued.
+// the given scheduler kinds as one campaign: the solo reference units over
+// the distinct benchmarks, then one co-run workload per (kind,
+// repetition). The solo references drop per-rep tracing: they exist for
+// the makespan denominator, not for trace export. progress, if non-nil, is
+// called as each co-run cell is enqueued.
 func RunMulti(kinds []Kind, cfg Config, progress func(k Kind)) (*MultiMatrix, error) {
 	benches, err := cfg.Multi.resolve()
 	if err != nil {
 		return nil, err
 	}
-
-	// Solo reference phase: each distinct benchmark once.
 	var distinct []workloads.Benchmark
 	seen := map[string]bool{}
 	for _, b := range benches {
@@ -188,52 +170,23 @@ func RunMulti(kinds []Kind, cfg Config, progress func(k Kind)) (*MultiMatrix, er
 			distinct = append(distinct, b)
 		}
 	}
-	solo, err := Run(distinct, kinds, soloConfig(cfg), nil)
-	if err != nil {
-		return nil, err
-	}
-
+	var cp campaign
+	soloCfg := cfg
+	soloCfg.TraceTasks = false
 	mm := &MultiMatrix{
 		CoRun: *cfg.Multi,
 		Kinds: kinds,
 		Cells: make(map[Kind]*MultiCell),
-		Solo:  solo,
+		Solo:  cp.matrix(distinct, kinds, soloCfg, nil),
 	}
-	type unit struct {
-		kind  Kind
-		rep   int
-		cell  *MultiCell
-		track int
-	}
-	var units []unit
-	var decls []CellDecl
 	scenario := cfg.Multi.Scenario()
 	for _, k := range kinds {
 		if progress != nil {
 			progress(k)
 		}
-		cell := &MultiCell{Kind: k, Samples: make([]MultiSample, cfg.Reps)}
-		mm.Cells[k] = cell
-		ti := len(decls)
-		decls = append(decls, CellDecl{Name: scenario + "/" + k.String(), Units: cfg.Reps})
-		for rep := 0; rep < cfg.Reps; rep++ {
-			units = append(units, unit{kind: k, rep: rep, cell: cell, track: ti})
-		}
+		mm.Cells[k] = cp.coRunCell(scenario+"/"+k.String(), coRunUnit(benches, k, cfg))
 	}
-	cfg.Track.Begin("multi:"+scenario, decls)
-	cfg.Track.AttachCache(cfg.Cache)
-	err = ForEachCancel(cfg.Jobs, len(units), cfg.Cancel, func(i int) error {
-		u := units[i]
-		s, err := RunMultiOne(benches, u.kind, cfg, u.rep)
-		cfg.Track.UnitDone(u.track, u.rep, s.Obs, nil, err)
-		if err != nil {
-			return err
-		}
-		u.cell.Samples[u.rep] = s
-		return nil
-	})
-	cfg.Track.Finish(err)
-	if err != nil {
+	if err := cp.run(cfg, "multi:"+scenario, nil); err != nil {
 		return nil, err
 	}
 	return mm, nil
@@ -244,60 +197,9 @@ func RunMulti(kinds []Kind, cfg Config, progress func(k Kind)) (*MultiMatrix, er
 // RunOne: units are content-addressed by the co-run descriptor plus the
 // usual inputs.
 func RunMultiOne(benches []workloads.Benchmark, k Kind, cfg Config, rep int) (MultiSample, error) {
-	cfg = multiUnitConfig(cfg)
-	if cfg.Cache == nil {
-		return runMultiUncached(benches, k, cfg, rep)
-	}
-	key := cacheKeyForMulti(k, cfg, rep)
-	if s, ok := cacheGetMulti(cfg.Cache, key); ok {
-		return s, nil
-	}
-	s, err := runMultiUncached(benches, k, cfg, rep)
-	if err == nil {
-		cachePutMulti(cfg.Cache, key, s)
-	}
-	return s, err
-}
-
-// runMultiUncached is the raw simulation path behind RunMultiOne.
-func runMultiUncached(benches []workloads.Benchmark, k Kind, cfg Config, rep int) (MultiSample, error) {
-	m := buildMachine(cfg, rep)
-	w := workloads.CoRunWorkload(m, benches, cfg.Class, cfg.Multi.ArrivalSpreadSec)
-	rt := taskrt.New(m, NewScheduler(k), taskrt.DefaultCosts())
-	var run *obs.Run
-	if cfg.obsEnabled() {
-		run = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
-		rt.SetObs(run)
-	}
-	var trace *taskrt.Trace
-	if cfg.TraceTasks && rep == 0 {
-		trace = rt.EnableTracing()
-	}
-	res, err := rt.RunWorkload(w)
-	if err != nil {
-		return MultiSample{}, fmt.Errorf("harness: %s/%s rep %d: %w",
-			cfg.Multi.Scenario(), k, rep, err)
-	}
-	var snap *obs.Snapshot
-	if run != nil {
-		rt.FinalizeObs()
-		snap = run.Snapshot()
-		for i := range snap.Decisions {
-			snap.Decisions[i].Rep = rep
-		}
-	}
-	s := MultiSample{ElapsedSec: float64(res.Elapsed), Obs: snap, Trace: trace}
-	for i, pr := range res.Programs {
-		s.Programs = append(s.Programs, ProgramSample{
-			Program:     pr.Name,
-			Bench:       benches[i].Name,
-			ArrivalSec:  pr.ArrivalSec,
-			StartSec:    pr.StartSec,
-			MakespanSec: pr.MakespanSec,
-			Tasks:       pr.TasksExecuted,
-		})
-	}
-	return s, nil
+	u := coRunUnit(benches, k, cfg)
+	u.rep = rep
+	return u.runCoRun()
 }
 
 // ReportMulti prints the co-run table: per scheduler kind, each program's

@@ -33,11 +33,11 @@ func TestObsMergedSnapshotParallelMatchesSequential(t *testing.T) {
 	parCfg := seqCfg
 	parCfg.Jobs = 8
 
-	seq, err := RunCell(b, KindILAN, seqCfg)
+	seq, err := runCell(b, KindILAN, seqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCell(b, KindILAN, parCfg)
+	par, err := runCell(b, KindILAN, parCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestObsNilWhenDisabled(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.Reps = 2
-	cell, err := RunCell(mustBench(t, "Matmul"), KindILAN, cfg)
+	cell, err := runCell(mustBench(t, "Matmul"), KindILAN, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestObsTraceDecisionsImpliesMetrics(t *testing.T) {
 	cfg := testConfig()
 	cfg.Reps = 1
 	cfg.TraceDecisions = true
-	cell, err := RunCell(mustBench(t, "Matmul"), KindILAN, cfg)
+	cell, err := runCell(mustBench(t, "Matmul"), KindILAN, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/ilan-sched/ilan/internal/ilan"
-	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/stats"
-	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
@@ -42,96 +39,59 @@ func (r *OracleResult) Efficiency() float64 {
 	return r.Best.MeanSec / r.ILANSec
 }
 
-// runFixedOnce measures one repetition of a fixed (threads, policy)
-// configuration on a fresh machine; seeds match RunOne's per-rep scheme.
-func runFixedOnce(b workloads.Benchmark, threads int, full bool, cfg Config, rep int) (float64, error) {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topoSpec),
-		Seed:  cfg.Seed ^ (uint64(rep)+1)*0x9e3779b97f4a7c15,
-		Noise: cfg.Noise,
-		Alpha: -1,
-	})
-	opts := ilan.DefaultOptions()
-	opts.FixedThreads = threads
-	opts.FixedStealFull = full
-	rt := taskrt.New(m, ilan.MustNew(opts), taskrt.DefaultCosts())
-	res, err := rt.RunProgram(b.Build(m, cfg.Class))
-	if err != nil {
-		return 0, err
-	}
-	return float64(res.Elapsed), nil
-}
-
 // RunOracle evaluates every fixed width (in granularity steps of the NUMA
 // node size) under both steal policies for each benchmark, and compares the
 // best fixed configuration against ILAN's online search — quantifying both
 // the headroom of Algorithm 1's non-exhaustive exploration and its cost.
-// The (configuration, rep) units of each benchmark fan out across one
-// cfg.Jobs-bounded pool; points keep their enumeration order. progress, if
-// non-nil, is called from the calling goroutine as each configuration is
-// enqueued.
+// The fixed points, ILAN and baseline units of every benchmark run as one
+// campaign on the same machines (disturbance and model overrides
+// included); points keep their enumeration order. progress, if non-nil, is
+// called from the calling goroutine as each configuration is enqueued.
 func RunOracle(benches []workloads.Benchmark, cfg Config,
 	progress func(bench string, threads int, full bool)) ([]OracleResult, error) {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
-	topo := topology.MustNew(topoSpec)
+	topo := topology.MustNew(cfg.topoSpec())
 	g := topo.NodeSize()
-	type fixedPoint struct {
-		threads int
-		full    bool
-	}
-	var pts []fixedPoint
+	var pts []fixedConfig
 	for threads := g; threads <= topo.NumCores(); threads += g {
 		for _, full := range []bool{false, true} {
-			pts = append(pts, fixedPoint{threads: threads, full: full})
+			pts = append(pts, fixedConfig{Threads: threads, StealFull: full})
 		}
 	}
-	var out []OracleResult
-	for _, b := range benches {
-		r := OracleResult{Bench: b.Name}
-		times := make([][]float64, len(pts))
-		for pi, p := range pts {
+	type benchCells struct {
+		fixed       []*Cell
+		ilan, basel *Cell
+	}
+	var cp campaign
+	cells := make([]benchCells, len(benches))
+	for bi, b := range benches {
+		for _, p := range pts {
 			if progress != nil {
-				progress(b.Name, p.threads, p.full)
+				progress(b.Name, p.Threads, p.StealFull)
 			}
-			times[pi] = make([]float64, cfg.Reps)
+			u := fixedUnit(b, p, cfg)
+			cells[bi].fixed = append(cells[bi].fixed, cp.soloCell(u.name(), u))
 		}
-		err := ForEachCancel(cfg.Jobs, len(pts)*cfg.Reps, cfg.Cancel, func(i int) error {
-			pi, rep := i/cfg.Reps, i%cfg.Reps
-			sec, err := runFixedOnce(b, pts[pi].threads, pts[pi].full, cfg, rep)
-			if err != nil {
-				return err
-			}
-			times[pi][rep] = sec
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		cells[bi].ilan = cp.soloCell(b.Name+"/ilan", soloUnit(b, KindILAN, cfg))
+		cells[bi].basel = cp.soloCell(b.Name+"/baseline", soloUnit(b, KindBaseline, cfg))
+	}
+	if err := cp.run(cfg, "oracle", nil); err != nil {
+		return nil, err
+	}
+	out := make([]OracleResult, 0, len(benches))
+	for bi, b := range benches {
+		r := OracleResult{
+			Bench:       b.Name,
+			ILANSec:     stats.Mean(cells[bi].ilan.Times()),
+			BaselineSec: stats.Mean(cells[bi].basel.Times()),
 		}
 		for pi, pt := range pts {
-			p := OraclePoint{Threads: pt.threads, StealFull: pt.full,
-				MeanSec: stats.Mean(times[pi])}
+			p := OraclePoint{Threads: pt.Threads, StealFull: pt.StealFull,
+				MeanSec: stats.Mean(cells[bi].fixed[pi].Times())}
 			r.Points = append(r.Points, p)
 			if r.Best.MeanSec == 0 || p.MeanSec < r.Best.MeanSec {
 				r.Best = p
 			}
 		}
-		ilanCell, err := RunCell(b, KindILAN, cfg)
-		if err != nil {
-			return nil, err
-		}
-		baseCell, err := RunCell(b, KindBaseline, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.ILANSec = stats.Mean(ilanCell.Times())
-		r.BaselineSec = stats.Mean(baseCell.Times())
 		out = append(out, r)
 	}
 	return out, nil

@@ -12,8 +12,8 @@ import (
 // The parallel experiment executor.
 //
 // Every simulated run in this repro is independent and bit-reproducible
-// per seed: RunOne builds a fresh Machine, Runtime, and Scheduler for each
-// (benchmark, kind, rep) unit, and nothing in the simulator packages keeps
+// per seed: every unit (unit.go) builds a fresh Machine, Runtime, and
+// Scheduler, and nothing in the simulator packages keeps
 // package-level mutable state. The executor exploits that by fanning the
 // units of a campaign across a bounded pool of goroutines while keeping
 // every observable output byte-identical to the sequential path:

@@ -328,11 +328,11 @@ func TestRunCellParallelMatchesSequential(t *testing.T) {
 	seqCfg.Jobs = 1
 	parCfg := seqCfg
 	parCfg.Jobs = 8
-	seq, err := RunCell(b, KindILAN, seqCfg)
+	seq, err := runCell(b, KindILAN, seqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCell(b, KindILAN, parCfg)
+	par, err := runCell(b, KindILAN, parCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,9 @@ import (
 // ever making a worker wait. The contract mirrors the observability
 // layer's overhead rules:
 //
-//   - Nil-safe. A nil *Tracker discards every call, so Run/Sweep/RunCell
-//     carry no "monitoring enabled" branches beyond one nil check per rep.
+//   - Nil-safe. A nil *Tracker discards every call, so the campaign
+//     executor carries no "monitoring enabled" branches beyond one nil
+//     check per unit.
 //   - The progress counters (units done, per-cell rep counts) are plain
 //     atomics: Snapshot reads them without taking a lock, so a scrape can
 //     never block the pool and the pool never blocks on a scrape.
@@ -77,9 +78,9 @@ type CellDecl struct {
 	Units int
 }
 
-// NewTracker returns an idle tracker. Attach it via Config.Track; the
-// campaign entry point (Run, Sweep, RunCell) calls Begin with its cell
-// layout before dispatching work.
+// NewTracker returns an idle tracker. Attach it via Config.Track; every
+// campaign (Run, Sweep, RunOracle, RunMulti) calls Begin once with its
+// cell layout before dispatching work, and Finish once at the end.
 func NewTracker() *Tracker { return &Tracker{} }
 
 // Begin (re)initializes the tracker for a campaign. Counters reset; event
@@ -110,7 +111,7 @@ func (t *Tracker) Begin(label string, cells []CellDecl) {
 }
 
 // AttachCache wires a campaign cache's counters into progress snapshots
-// (nil detaches). The campaign entry points call it right after Begin, so
+// (nil detaches). The campaign executor calls it right after Begin, so
 // a live monitor sees hits/misses/evictions advance as units complete.
 func (t *Tracker) AttachCache(c *cellcache.Cache) {
 	if t == nil {

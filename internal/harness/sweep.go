@@ -87,52 +87,37 @@ func Sweep(bench workloads.Benchmark, param SweepParam, values []float64,
 		return nil, fmt.Errorf("harness: sweep with no values")
 	}
 	kinds := [2]Kind{KindBaseline, KindILAN}
-	cfgs := make([]Config, len(values))
+	var cp campaign
 	cells := make([][2]*Cell, len(values))
-	decls := make([]CellDecl, 0, len(values)*len(kinds))
 	for vi, v := range values {
 		c, err := applyParam(cfg, param, v)
 		if err != nil {
 			return nil, err
 		}
-		cfgs[vi] = c
 		for ki, k := range kinds {
-			cells[vi][ki] = &Cell{Bench: bench.Name, Kind: k,
-				Samples: make([]RunSample, cfg.Reps)}
-			decls = append(decls, CellDecl{
-				Name:  fmt.Sprintf("%s/%s %s=%g", bench.Name, k, param, v),
-				Units: cfg.Reps,
-			})
+			cells[vi][ki] = cp.soloCell(fmt.Sprintf("%s/%s %s=%g", bench.Name, k, param, v),
+				soloUnit(bench, k, c))
 		}
 	}
-	cfg.Track.Begin(fmt.Sprintf("sweep %s %s", bench.Name, param), decls)
-	cfg.Track.AttachCache(cfg.Cache)
-	perValue := len(kinds) * cfg.Reps
-	// remaining counts each value's outstanding units so the progress
-	// callback fires exactly once per value, when its last unit lands.
-	remaining := make([]int64, len(values))
-	for vi := range remaining {
-		remaining[vi] = int64(perValue)
+	var done func(*unit)
+	if progress != nil {
+		// remaining counts each value's outstanding units so the callback
+		// fires exactly once per value, when its last unit lands.
+		remaining := make([]int64, len(values))
+		for vi := range remaining {
+			remaining[vi] = int64(len(kinds) * cfg.Reps)
+		}
+		var mu sync.Mutex
+		done = func(u *unit) {
+			vi := u.cell / len(kinds)
+			if atomic.AddInt64(&remaining[vi], -1) == 0 {
+				mu.Lock()
+				progress(values[vi])
+				mu.Unlock()
+			}
+		}
 	}
-	var progressMu sync.Mutex
-	err := ForEachCancel(cfg.Jobs, len(values)*perValue, cfg.Cancel, func(i int) error {
-		vi, rest := i/perValue, i%perValue
-		ki, rep := rest/cfg.Reps, rest%cfg.Reps
-		s, err := RunOne(bench, kinds[ki], cfgs[vi], rep)
-		cfg.Track.UnitDone(vi*len(kinds)+ki, rep, s.Obs, s.Attr, err)
-		if err != nil {
-			return err
-		}
-		cells[vi][ki].Samples[rep] = s
-		if atomic.AddInt64(&remaining[vi], -1) == 0 && progress != nil {
-			progressMu.Lock()
-			progress(values[vi])
-			progressMu.Unlock()
-		}
-		return nil
-	})
-	cfg.Track.Finish(err)
-	if err != nil {
+	if err := cp.run(cfg, fmt.Sprintf("sweep %s %s", bench.Name, param), done); err != nil {
 		return nil, err
 	}
 	out := make([]SweepPoint, 0, len(values))

@@ -120,7 +120,7 @@ type loopState struct {
 	strictFracPct int
 	lastGreens    int
 
-	// history records every execution for diagnostics (ptttrace).
+	// history records every execution for diagnostics (Regret, History).
 	history []ExecRecord
 
 	// obsPhase is the phase after the previous Observe, used by the

@@ -551,7 +551,7 @@ func (s *Scheduler) obsObserve(rt *taskrt.Runtime, spec *taskrt.LoopSpec, ls *lo
 }
 
 // ChosenConfig exposes the current configuration for a loop ID
-// (diagnostics, the ptttrace tool, and tests). ok is false for loops the
+// (diagnostics and tests). ok is false for loops the
 // scheduler has not seen.
 func (s *Scheduler) ChosenConfig(loopID int) (cfg Config, phase Phase, ok bool) {
 	ls, found := s.loops[loopID]

@@ -122,12 +122,12 @@ func TestJobsEqualityOracle(t *testing.T) {
 	}
 	for _, kind := range []harness.Kind{harness.KindBaseline, harness.KindILAN} {
 		cfg.Jobs = 1
-		seq, err := harness.RunCell(bench, kind, cfg)
+		seq, err := harness.Run([]workloads.Benchmark{bench}, []harness.Kind{kind}, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Jobs = 4
-		par, err := harness.RunCell(bench, kind, cfg)
+		par, err := harness.Run([]workloads.Benchmark{bench}, []harness.Kind{kind}, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ import (
 //     are equivariant only in distribution, not per seed.
 //
 // The jobs=1 vs jobs=N campaign-equality oracle (the PR 1 contract) is
-// exercised through harness.RunCell in this package's integration tests.
+// exercised through harness.Run in this package's integration tests.
 
 // CheckDeterminism runs the scenario twice and reports an error if the
 // two digests differ.

@@ -95,12 +95,6 @@ func (tr *Trace) beginLoop(spec *LoopSpec) int {
 	return tr.execCount[spec.ID]
 }
 
-// WriteJSON emits the trace as a single JSON document.
-func (tr *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
 // WriteJSONL emits the trace as JSON lines: one "loop" or "task" object per
 // line, timeline-ordered by start time within each kind.
 func (tr *Trace) WriteJSONL(w io.Writer) error {

@@ -90,27 +90,6 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestTraceJSONRoundTrip(t *testing.T) {
-	sch := &planScheduler{name: "spread", plan: spreadPlan}
-	rt := newTestRuntime(t, sch)
-	tr := rt.EnableTracing()
-	rt.SubmitLoop(computeLoop(1, 16, 8, 1e-6), nil)
-	if err := rt.Machine().Engine().Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded Trace
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded.Tasks) != len(tr.Tasks) || len(decoded.Loops) != len(tr.Loops) {
-		t.Fatal("JSON round trip lost records")
-	}
-}
-
 func TestTraceJSONL(t *testing.T) {
 	sch := &planScheduler{name: "spread", plan: spreadPlan}
 	rt := newTestRuntime(t, sch)
