@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) ./internal/simcheck
 	$(GO) test -fuzz=FuzzRenumbering -fuzztime=$(FUZZTIME) ./internal/simcheck
 	$(GO) test -fuzz=FuzzSpecValidate -fuzztime=$(FUZZTIME) ./internal/topology
+	$(GO) test -fuzz=FuzzReferenceSolver -fuzztime=$(FUZZTIME) ./internal/machine
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
 # Reproduce every figure and table at paper scale (~1h on one core).

@@ -402,8 +402,8 @@ func BenchmarkMachineExec(b *testing.B) {
 // processor sharing under worst-case sharing: N memory-bound co-runners
 // all hammering one memory controller, so every task start and completion
 // re-rates all N sharers. This is the path the instant-coalesced refresh
-// and in-place rescheduling optimize; the sweep over N exposes the
-// superlinear growth the eager path suffered. b.N counts task executions.
+// and in-place rescheduling optimize; the sweep over N exposes any
+// superlinear growth in the sharer count. b.N counts task executions.
 func BenchmarkRefreshStorm(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

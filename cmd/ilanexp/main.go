@@ -64,7 +64,6 @@ func main() {
 	attrOut := flag.String("attr", "", "collect virtual-time attribution and write the per-cell report JSON to this file (output-neutral: -out/-perfetto bytes are identical either way)")
 	corun := flag.String("corun", "", "comma-separated benchmarks to co-run as one workload (-exp multi; default CG,FT)")
 	spread := flag.Float64("spread", 0, "spread co-run program arrivals over this many seconds (-exp multi)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable instant-coalesced refresh in the fluid model (debug; outputs are byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memprofile := flag.String("memprofile", "", "write a heap-allocation profile to this file at exit")
 	cacheOn := flag.Bool("cache", false, "memoize per-unit results in a content-addressed on-disk cache (see -cache-dir)")
@@ -119,7 +118,6 @@ func main() {
 	cfg.Jobs = *jobs
 	cfg.Metrics = *metrics
 	cfg.TraceDecisions = *traceDecisions
-	cfg.NoCoalesce = *noCoalesce
 	cfg.Attr = *attrOut != ""
 	if *perfetto != "" {
 		// The exporter needs the task trace plus the decision trace; turn
@@ -181,6 +179,15 @@ func main() {
 		cfg.Multi = co
 	} else if *corun != "" || *spread != 0 {
 		fmt.Fprintln(os.Stderr, "ilanexp: -corun/-spread require -exp multi")
+		os.Exit(2)
+	}
+	// Flags an experiment would silently ignore are usage errors too.
+	if *exp == "oracle" && (*out != "" || *perfetto != "" || *attrOut != "") {
+		fmt.Fprintln(os.Stderr, "ilanexp: -out/-perfetto/-attr are not supported by -exp oracle")
+		os.Exit(2)
+	}
+	if *chart && (*exp == "multi" || *exp == "oracle") {
+		fmt.Fprintln(os.Stderr, "ilanexp: -chart is not supported by -exp multi or -exp oracle")
 		os.Exit(2)
 	}
 
@@ -259,14 +266,12 @@ func main() {
 			return
 		}
 		mx := saved.ToMatrix()
-		if err := harness.Report(os.Stdout, *exp, mx); err != nil {
-			die(err)
+		if len(mx.Benches) == 0 {
+			fmt.Fprintf(os.Stderr, "ilanexp: %s holds no timing samples (attribution sidecars are read with obsdump attr)\n", *in)
+			os.Exit(1)
 		}
-		if *chart && *exp != "table1" {
-			fmt.Println()
-			if err := harness.RenderChart(os.Stdout, *exp, mx); err != nil {
-				die(err)
-			}
+		if err := reportSolo(os.Stdout, *exp, *chart, mx); err != nil {
+			die(err)
 		}
 		return
 	}
@@ -291,6 +296,8 @@ func main() {
 		os.Exit(2)
 	}
 
+	start := time.Now()
+	var res campaignResult
 	if *exp == "multi" {
 		progress := func(k harness.Kind) {
 			if !*quiet {
@@ -298,120 +305,114 @@ func main() {
 					cfg.Multi.Scenario(), k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
 			}
 		}
-		start := time.Now()
 		mm, err := harness.RunMulti(kinds, cfg, progress)
 		if err != nil {
 			failCampaign(err, cfg, finishCache)
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Millisecond))
-		}
-		if err := harness.ReportMulti(os.Stdout, mm); err != nil {
-			die(err)
-		}
-		if *out != "" {
-			file := results.FromMulti(mm, cfg, *label)
-			if err := fsatomic.WriteFile(*out, file.Write); err != nil {
-				die(err)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "campaign written to %s\n", *out)
-			}
-		}
-		if *perfetto != "" {
-			var traced []tracedCell
-			for _, k := range mm.Kinds {
-				if c := mm.Cells[k]; c != nil && c.TaskTrace() != nil {
-					traced = append(traced, tracedCell{k, c.TaskTrace(), c.Samples[0].Obs})
-				}
-			}
-			if err := writePerfetto(*perfetto, traced); err != nil {
-				die(err)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "perfetto trace written to %s\n", *perfetto)
-			}
-		}
-		if *attrOut != "" {
+		res = campaignResult{
+			report: func(w io.Writer) error { return harness.ReportMulti(w, mm) },
+			file:   func() *results.File { return results.FromMulti(mm, cfg, *label) },
 			// Co-run units do not collect attribution; the sidecar carries
 			// the solo reference cells' reports.
-			file := results.AttrFromMatrix(mm.Solo, cfg, *label)
-			if file == nil {
-				fmt.Fprintln(os.Stderr, "ilanexp: no attribution collected (internal error: -attr should imply attribution)")
-				os.Exit(1)
+			solo: mm.Solo,
+		}
+		for _, k := range mm.Kinds {
+			if c := mm.Cells[k]; c != nil && c.TaskTrace() != nil {
+				res.traced = append(res.traced, tracedCell{k, c.TaskTrace(), c.Samples[0].Obs})
 			}
-			if err := fsatomic.WriteFile(*attrOut, file.Write); err != nil {
-				die(err)
-			}
+		}
+	} else {
+		progress := func(bench string, k harness.Kind) {
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "attribution report written to %s\n", *attrOut)
+				fmt.Fprintf(os.Stderr, "queued %-8s %-12s (%d reps, %d jobs)\n",
+					bench, k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
 			}
 		}
-		return
-	}
-
-	progress := func(bench string, k harness.Kind) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "queued %-8s %-12s (%d reps, %d jobs)\n",
-				bench, k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
+		mx, err := harness.Run(benches, kinds, cfg, progress)
+		if err != nil {
+			failCampaign(err, cfg, finishCache)
 		}
-	}
-	start := time.Now()
-	mx, err := harness.Run(benches, kinds, cfg, progress)
-	if err != nil {
-		failCampaign(err, cfg, finishCache)
+		res = campaignResult{
+			report: func(w io.Writer) error { return reportSolo(w, *exp, *chart, mx) },
+			file:   func() *results.File { return results.FromMatrix(mx, cfg, *label) },
+			solo:   mx,
+		}
+		mx.EachCell(func(c *harness.Cell) {
+			if c.TaskTrace() != nil {
+				res.traced = append(res.traced, tracedCell{c.Kind, c.TaskTrace(), c.Samples[0].Obs})
+			}
+		})
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
-	if err := harness.Report(os.Stdout, *exp, mx); err != nil {
+	if err := res.report(os.Stdout); err != nil {
 		die(err)
 	}
-	if *chart && *exp != "table1" {
-		fmt.Println()
-		if err := harness.RenderChart(os.Stdout, *exp, mx); err != nil {
+	outputFiles{out: *out, perfetto: *perfetto, attr: *attrOut, label: *label, quiet: *quiet}.write(res, cfg)
+}
+
+// reportSolo prints a solo campaign's report, then its chart when asked
+// for one (table1 has none).
+func reportSolo(w io.Writer, exp string, chart bool, mx *harness.Matrix) error {
+	if err := harness.Report(w, exp, mx); err != nil {
+		return err
+	}
+	if !chart || exp == "table1" {
+		return nil
+	}
+	fmt.Fprintln(w)
+	return harness.RenderChart(w, exp, mx)
+}
+
+// campaignResult is what a finished solo or co-run campaign hands to the
+// shared report-and-write path.
+type campaignResult struct {
+	report func(io.Writer) error
+	file   func() *results.File // the -out file, built only when requested
+	solo   *harness.Matrix      // solo cells: the source of the -attr sidecar
+	traced []tracedCell         // cells whose rep 0 recorded a task trace
+}
+
+// outputFiles are the requested output paths of a campaign run.
+type outputFiles struct {
+	out, perfetto, attr, label string
+	quiet                      bool
+}
+
+// write writes every requested output file. Each write is atomic (temp +
+// rename): a crash or SIGINT mid-encode must not clobber the previous good
+// file with truncated JSON.
+func (o outputFiles) write(res campaignResult, cfg harness.Config) {
+	if o.out != "" {
+		if err := fsatomic.WriteFile(o.out, res.file().Write); err != nil {
 			die(err)
 		}
+		o.note("campaign written to %s\n", o.out)
 	}
-	if *out != "" {
-		// Atomic write (temp + rename): a crash or SIGINT mid-encode must
-		// not clobber the previous good results file with truncated JSON.
-		file := results.FromMatrix(mx, cfg, *label)
-		if err := fsatomic.WriteFile(*out, file.Write); err != nil {
+	if o.perfetto != "" {
+		if err := writePerfetto(o.perfetto, res.traced); err != nil {
 			die(err)
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaign written to %s\n", *out)
-		}
+		o.note("perfetto trace written to %s\n", o.perfetto)
 	}
-	if *perfetto != "" {
-		var traced []tracedCell
-		mx.EachCell(func(c *harness.Cell) {
-			if c.TaskTrace() != nil {
-				traced = append(traced, tracedCell{c.Kind, c.TaskTrace(), c.Samples[0].Obs})
-			}
-		})
-		if err := writePerfetto(*perfetto, traced); err != nil {
-			die(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "perfetto trace written to %s\n", *perfetto)
-		}
-	}
-	if *attrOut != "" {
-		// The attribution report is a sidecar results.File (attr-only
-		// cells), written atomically like -out.
-		file := results.AttrFromMatrix(mx, cfg, *label)
+	if o.attr != "" {
+		// The attribution report is a sidecar results.File (attr-only cells).
+		file := results.AttrFromMatrix(res.solo, cfg, o.label)
 		if file == nil {
 			fmt.Fprintln(os.Stderr, "ilanexp: no attribution collected (internal error: -attr should imply attribution)")
 			os.Exit(1)
 		}
-		if err := fsatomic.WriteFile(*attrOut, file.Write); err != nil {
+		if err := fsatomic.WriteFile(o.attr, file.Write); err != nil {
 			die(err)
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "attribution report written to %s\n", *attrOut)
-		}
+		o.note("attribution report written to %s\n", o.attr)
+	}
+}
+
+func (o outputFiles) note(format, path string) {
+	if !o.quiet {
+		fmt.Fprintf(os.Stderr, format, path)
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // The campaign cache key contract (DESIGN.md §13).
 //
 // A unit — one (benchmark, scheduler, rep) simulation — is a pure function
-// of the inputs below; PRs 1–6 pinned that purity with determinism gates
-// (jobs=1 ≡ jobs=8, coalesce on ≡ off, serve on ≡ off). The key is the
-// SHA-256 of the canonical JSON of those inputs, so two invocations share
-// an entry exactly when the simulation they would run is byte-identical.
+// of the inputs below; determinism gates pin that purity (jobs=1 ≡ jobs=8,
+// serve on ≡ off). The key is the SHA-256 of the canonical JSON of those
+// inputs, so two invocations share an entry exactly when the simulation
+// they would run is byte-identical.
 //
 // Included (any change must change the result, so it changes the key):
 //   - the simulator/code fingerprint (bumped when the model changes),
@@ -45,8 +45,8 @@ import (
 //
 // Normalized out (proven output-neutral, so runs share entries across
 // them): Reps (the rep index, not the campaign width, feeds the seed),
-// Jobs (§7 determinism gate), NoCoalesce (§12 equivalence gate), Track
-// (read-only telemetry), Cache and Cancel (the cache never feeds back).
+// Jobs (§7 determinism gate), Track (read-only telemetry), Cache and
+// Cancel (the cache never feeds back).
 // TestCacheKeyClassifiesEveryConfigField forces every new Config field to
 // be classified into one of the two lists.
 

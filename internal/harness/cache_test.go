@@ -79,7 +79,6 @@ func TestCacheKeyPerturbation(t *testing.T) {
 	mustNotChange := map[string]func(*keyUnit){
 		"jobs":                func(u *keyUnit) { u.cfg.Jobs = 8 },
 		"reps":                func(u *keyUnit) { u.cfg.Reps = 30 },
-		"no-coalesce":         func(u *keyUnit) { u.cfg.NoCoalesce = true },
 		"tracker":             func(u *keyUnit) { u.cfg.Track = NewTracker() },
 		"canceler":            func(u *keyUnit) { u.cfg.Cancel = NewCanceler() },
 		"trace-tasks (rep 1)": func(u *keyUnit) { u.rep = 1; u.cfg.TraceTasks = true },
@@ -252,8 +251,8 @@ func TestCacheKeyClassifiesEveryConfigField(t *testing.T) {
 		"Multi": true,
 	}
 	normalizedOut := map[string]bool{
-		"Reps": true, "Jobs": true, "NoCoalesce": true, "Track": true,
-		"Cache": true, "Cancel": true,
+		"Reps": true, "Jobs": true, "Track": true, "Cache": true,
+		"Cancel": true,
 	}
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -116,10 +116,6 @@ type Config struct {
 	CoreStreamBW float64
 	Alpha        *float64
 	Beta         *float64
-	// NoCoalesce disables the machine's instant-coalesced refresh (eager
-	// per-boundary re-rating instead). Outputs are byte-identical either
-	// way; the flag exists for differential testing (ilanexp -no-coalesce).
-	NoCoalesce bool
 	// Metrics enables the observability layer: every run collects the
 	// internal/obs registry, and cells carry a merged Snapshot. Off by
 	// default — the disabled path is the PR 2 zero-allocation hot path.

@@ -222,7 +222,6 @@ func buildMachine(cfg Config, rep int) *machine.Machine {
 		ControllerBW: cfg.ControllerBW,
 		LinkBW:       cfg.LinkBW,
 		CoreStreamBW: cfg.CoreStreamBW,
-		NoCoalesce:   cfg.NoCoalesce,
 	}
 	if cfg.Alpha != nil {
 		mc.Alpha = *cfg.Alpha

@@ -82,11 +82,6 @@ type Config struct {
 	Beta float64
 	// DisableL3 switches the cache model off (ablation experiments).
 	DisableL3 bool
-	// NoCoalesce disables instant-coalesced refresh: every task boundary
-	// eagerly re-rates all sharers, as the pre-coalescing code did. The two
-	// modes are byte-identical in every output; the flag exists for
-	// differential testing (ilanexp -no-coalesce) and fuzzing.
-	NoCoalesce bool
 }
 
 // Machine is one simulated run's hardware instance. It is not safe for
@@ -124,15 +119,14 @@ type Machine struct {
 	epoch    uint64
 	affected []*fluidTask
 
-	// coalesce gates instant-coalesced refresh (on unless Config.NoCoalesce).
 	// dirtyHead/dirtyTail anchor the per-instant dirty list, an intrusive
 	// doubly-linked list threaded through the tasks themselves so marking,
 	// re-marking (move to tail), unlinking on completion, and the flush are
 	// all O(1) per task and never allocate. Re-touching a task within an
 	// instant moves it to the tail, so the flush re-rates each task exactly
-	// once, in last-touch order — the same order in which the eager path
-	// would have issued its final refreshes.
-	coalesce  bool
+	// once, in last-touch order: each rescheduled completion draws its
+	// sequence number in that order, which fixes the order of same-instant
+	// completions downstream.
 	dirtyHead *fluidTask
 	dirtyTail *fluidTask
 
@@ -241,11 +235,10 @@ func New(cfg Config) *Machine {
 		panic("machine: nil topology")
 	}
 	m := &Machine{
-		eng:      sim.NewEngine(),
-		topo:     cfg.Topo,
-		noise:    cfg.Noise,
-		rng:      sim.NewRNG(cfg.Seed),
-		coalesce: !cfg.NoCoalesce,
+		eng:   sim.NewEngine(),
+		topo:  cfg.Topo,
+		noise: cfg.Noise,
+		rng:   sim.NewRNG(cfg.Seed),
 	}
 	m.eng.SetFlusher(m.FlushRefresh)
 	m.mem = memsys.NewMemory(cfg.Topo)
@@ -460,8 +453,8 @@ func (m *Machine) Exec(core int, computeSec float64, accesses []memsys.Access, d
 	m.running[core] = ft
 
 	// Register the task's load, then re-rate every task sharing a resource
-	// whose population changed (including the new task itself). Under
-	// coalescing, touch defers the refresh to the end of the instant.
+	// whose population changed (including the new task itself); touch
+	// defers the refresh to the end of the instant.
 	affected := m.collectAffected(ft)
 	for i := range ft.res {
 		e := &ft.res[i]
@@ -574,32 +567,29 @@ func (m *Machine) refresh(ft *fluidTask) {
 	ft.handle = m.eng.RescheduleOrAt(ft.handle, now+sim.Time(ft.remaining), ft.completeFn)
 }
 
-// touch re-rates a task whose resource loads just changed. With coalescing
-// off it refreshes eagerly, exactly like the pre-coalescing code. With
-// coalescing on it defers the refresh to the end of the current virtual
-// instant (FlushRefresh), so a task touched by several same-instant
-// boundaries is advanced and re-rated once — at dt=0 advance is a no-op and
-// only the rates in force when time next moves matter, so the deferral is
-// observationally equivalent.
+// touch re-rates a task whose resource loads just changed. It defers the
+// refresh to the end of the current virtual instant (FlushRefresh), so a
+// task touched by several same-instant boundaries is advanced and re-rated
+// once: at dt=0 advance is a no-op and only the rates in force when time
+// next moves matter.
 //
-// Two cases must stay eager even when coalescing, because their completion
-// fires within the current instant — before any flush would re-rate them:
+// Two cases refresh at once, because their completion fires within the
+// current instant — before the flush would re-rate them:
 //   - a task whose completion event is due exactly now (a lockstep
-//     co-completion cascade): the eager path re-queues it at now with a
-//     fresh sequence number, and that requeue position is observable;
+//     co-completion cascade): it must be re-queued at once with a fresh
+//     sequence number, behind the events already due this instant, and
+//     that position fixes the same-instant event order;
 //   - a brand-new zero-work task (no compute, no traffic), which must
 //     complete at now.
 func (m *Machine) touch(ft *fluidTask) {
-	if m.coalesce {
-		if at, ok := ft.handle.When(); ok {
-			if at > m.eng.Now() {
-				m.dirtyPush(ft)
-				return
-			}
-		} else if ft.compute > 0 || len(ft.res) > 0 {
+	if at, ok := ft.handle.When(); ok {
+		if at > m.eng.Now() {
 			m.dirtyPush(ft)
 			return
 		}
+	} else if ft.compute > 0 || len(ft.res) > 0 {
+		m.dirtyPush(ft)
+		return
 	}
 	m.refresh(ft)
 }
@@ -693,9 +683,10 @@ func (m *Machine) complete(ft *fluidTask) {
 }
 
 // removeFromResource unlinks ft from byResource[r] in O(1) using the
-// stored position, swap-moving the tail task into the hole exactly as the
-// old linear-scan removal did (the resulting list order — which feeds
-// collectAffected traversal order — is identical).
+// stored position, swap-moving the tail task into the hole. The resulting
+// list order is the collectAffected traversal order, hence the touch and
+// flush order of the next boundary on r, so it must stay swap-remove
+// order: any other order reshuffles same-instant completions.
 func (m *Machine) removeFromResource(r int, ft *fluidTask) {
 	s := m.byResource[r]
 	i := ft.pos[r]

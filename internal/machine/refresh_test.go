@@ -78,14 +78,13 @@ func TestRealizedEqualsDemandWithoutNoise(t *testing.T) {
 
 // stormMachine builds a noise-free 64-core machine with a region homed on
 // node 0, so every task's traffic lands on one controller.
-func stormMachine(tb testing.TB, noCoalesce bool) (*Machine, *memsys.Region) {
+func stormMachine(tb testing.TB) (*Machine, *memsys.Region) {
 	tb.Helper()
 	m := New(Config{
-		Topo:       topology.MustNew(topology.Zen4Vera()),
-		Seed:       3,
-		Noise:      NoiseConfig{Enabled: false},
-		Alpha:      -1,
-		NoCoalesce: noCoalesce,
+		Topo:  topology.MustNew(topology.Zen4Vera()),
+		Seed:  3,
+		Noise: NoiseConfig{Enabled: false},
+		Alpha: -1,
 	})
 	r := m.Memory().NewRegion("hot", 64*memsys.BlockSize)
 	r.PlaceOnNode(0)
@@ -93,16 +92,13 @@ func stormMachine(tb testing.TB, noCoalesce bool) (*Machine, *memsys.Region) {
 }
 
 // runStorm keeps n cores busy with memory-bound tasks hammering the one
-// controller until each core has executed rounds tasks, returning every
-// completion time in callback order.
-func runStorm(tb testing.TB, m *Machine, r *memsys.Region, n, rounds int) []sim.Time {
+// controller until each core has executed rounds tasks.
+func runStorm(tb testing.TB, m *Machine, r *memsys.Region, n, rounds int) {
 	tb.Helper()
-	times := make([]sim.Time, 0, n*rounds)
 	acc := []memsys.Access{{Region: r, Offset: 0, Bytes: 8 * memsys.BlockSize, Pattern: memsys.Stream}}
 	var launch func(core, left int)
 	launch = func(core, left int) {
 		m.Exec(core, 1e-6, acc, func() {
-			times = append(times, m.Engine().Now())
 			if left > 1 {
 				launch(core, left-1)
 			}
@@ -114,31 +110,6 @@ func runStorm(tb testing.TB, m *Machine, r *memsys.Region, n, rounds int) []sim.
 	if err := m.Engine().Run(); err != nil {
 		tb.Fatal(err)
 	}
-	return times
-}
-
-// TestCoalescedRefreshByteIdentical is the machine-level equivalence
-// oracle: the exact same storm with coalescing on and off must produce
-// bit-identical completion times in the identical order.
-func TestCoalescedRefreshByteIdentical(t *testing.T) {
-	for _, n := range []int{1, 4, 16, 64} {
-		mOn, rOn := stormMachine(t, false)
-		mOff, rOff := stormMachine(t, true)
-		on := runStorm(t, mOn, rOn, n, 5)
-		off := runStorm(t, mOff, rOff, n, 5)
-		if len(on) != len(off) {
-			t.Fatalf("n=%d: %d completions coalesced vs %d eager", n, len(on), len(off))
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Fatalf("n=%d: completion %d at %v coalesced vs %v eager (must be bit-identical)",
-					n, i, on[i], off[i])
-			}
-		}
-		if !mOn.Quiesced() || !mOff.Quiesced() {
-			t.Fatalf("n=%d: machine not quiesced after storm", n)
-		}
-	}
 }
 
 // TestRefreshStormAllocs pins the storm path at zero steady-state
@@ -148,7 +119,7 @@ func TestCoalescedRefreshByteIdentical(t *testing.T) {
 // completion events are moved in place.
 func TestRefreshStormAllocs(t *testing.T) {
 	perRound := func(n int) float64 {
-		m, r := stormMachine(t, false)
+		m, r := stormMachine(t)
 		// Warm the pools: fluid tasks, event heap, per-resource lists.
 		runStorm(t, m, r, n, 3)
 		acc := []memsys.Access{{Region: r, Offset: 0, Bytes: 8 * memsys.BlockSize, Pattern: memsys.Stream}}
@@ -173,7 +144,7 @@ func TestRefreshStormAllocs(t *testing.T) {
 // users: between Exec and Run the new task's completion event may be
 // deferred; FlushRefresh materializes it so the queue can be inspected.
 func TestFlushRefreshDirectUse(t *testing.T) {
-	m, r := stormMachine(t, false)
+	m, r := stormMachine(t)
 	m.Exec(0, 1e-3, []memsys.Access{{Region: r, Offset: 0, Bytes: 8 * memsys.BlockSize, Pattern: memsys.Stream}}, nil)
 	m.FlushRefresh()
 	if m.Engine().Pending() == 0 {

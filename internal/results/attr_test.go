@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/ilan-sched/ilan/internal/harness"
 	"github.com/ilan-sched/ilan/internal/obs"
 )
 
@@ -74,6 +75,23 @@ func TestAttrOnlyFileRoundTrips(t *testing.T) {
 	}
 	if _, err := Read(&buf); err == nil {
 		t.Fatal("cell with neither samples nor attribution accepted")
+	}
+}
+
+// TestToMatrixSkipsAttrOnlyCells: a sidecar's report-only cells carry no
+// timing samples, so ToMatrix must skip them instead of turning them into
+// empty cells whose reports print NaN means. A sidecar yields an empty
+// matrix, which ilanexp -in rejects; a timed cell next to them still
+// converts.
+func TestToMatrixSkipsAttrOnlyCells(t *testing.T) {
+	f := attrFile("attr", attrSnap(), attrSnap())
+	if mx := f.ToMatrix(); len(mx.Benches) != 0 {
+		t.Fatalf("attribution sidecar converted to matrix benches %v", mx.Benches)
+	}
+	f.Cells = append(f.Cells, Cell{Bench: "FT", Kind: "ilan", Times: []float64{2}})
+	mx := f.ToMatrix()
+	if len(mx.Benches) != 1 || mx.Cell("FT", harness.KindILAN) == nil {
+		t.Fatalf("timed cell lost: benches %v", mx.Benches)
 	}
 }
 

@@ -258,12 +258,15 @@ func Read(r io.Reader) (*File, error) {
 
 // ToMatrix reconstructs a harness matrix from a persisted campaign so that
 // reports and charts can be re-rendered without re-running experiments.
-// Cells whose kind name is unknown to this build are skipped.
+// Cells whose kind name is unknown to this build are skipped, and so are
+// cells without timing samples (an attribution sidecar's cells): a report
+// over them would print NaN means. A sidecar therefore yields an empty
+// matrix.
 func (f *File) ToMatrix() *harness.Matrix {
 	var cells []*harness.Cell
 	for _, c := range f.Cells {
 		kind, ok := harness.KindFromString(c.Kind)
-		if !ok {
+		if !ok || len(c.Times) == 0 {
 			continue
 		}
 		hc := &harness.Cell{Bench: c.Bench, Kind: kind}
@@ -307,35 +310,13 @@ func (d Diff) String() string {
 // by more than tol (relative). Cells missing from either file are always
 // reported.
 func Compare(a, b *File, tol float64) []Diff {
-	index := func(f *File) map[string]*Cell {
-		m := map[string]*Cell{}
-		for i := range f.Cells {
-			m[f.Cells[i].Bench+"/"+f.Cells[i].Kind] = &f.Cells[i]
-		}
-		return m
-	}
-	ia, ib := index(a), index(b)
-	keys := map[string]bool{}
-	for k := range ia {
-		keys[k] = true
-	}
-	for k := range ib {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-
+	ia, ib := cellIndex(a), cellIndex(b)
 	var diffs []Diff
-	for _, k := range sorted {
+	for _, k := range unionKeys(ia, ib) {
 		ca, cb := ia[k], ib[k]
 		if ca == nil || cb == nil {
-			var ref *Cell
-			if ca != nil {
-				ref = ca
-			} else {
+			ref := ca
+			if ref == nil {
 				ref = cb
 			}
 			diffs = append(diffs, Diff{Bench: ref.Bench, Kind: ref.Kind, Missing: true})
@@ -425,100 +406,112 @@ func (d ObsDiff) String() string {
 // steal counter or a doubled phase-transition count fails the gate even
 // when wall-clock times agree. Cells missing a snapshot on exactly one
 // side are reported; cells with no snapshot on either side are skipped
-// (campaign ran without metrics).
+// (campaign ran without metrics). Attribution reports are diffed term by
+// term under the same rules, except that residual terms never drift (see
+// isAttrResidual).
 func CompareObs(a, b *File, tol float64) []ObsDiff {
-	index := func(f *File) map[string]*Cell {
-		m := map[string]*Cell{}
-		for i := range f.Cells {
-			m[f.Cells[i].Bench+"/"+f.Cells[i].Kind] = &f.Cells[i]
+	ia, ib := cellIndex(a), cellIndex(b)
+	var diffs []ObsDiff
+	for _, k := range unionKeys(ia, ib) {
+		ca, cb := ia[k], ib[k]
+		if ca == nil || cb == nil {
+			continue // Compare reports cells missing from one file
 		}
-		return m
+		// Attribution: cells without a report on either side are skipped
+		// (campaign ran without -attr); a report on one side is a diff.
+		switch {
+		case ca.Attr == nil && cb.Attr == nil:
+		case ca.Attr == nil || cb.Attr == nil:
+			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind, What: "no-attr"})
+		default:
+			diffs = append(diffs, diffValues(ca, attrVals(ca.Attr), attrVals(cb.Attr), tol, isAttrResidual)...)
+		}
+		switch {
+		case ca.Obs == nil && cb.Obs == nil:
+		case ca.Obs == nil || cb.Obs == nil:
+			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind, What: "no-obs"})
+		default:
+			// Gauges participate in the name universe only (see doc comment).
+			diffs = append(diffs, diffValues(ca, names(ca.Obs.Gauges), names(cb.Obs.Gauges), tol, nil)...)
+			diffs = append(diffs, diffValues(ca, counterVals(ca.Obs), counterVals(cb.Obs), tol, nil)...)
+		}
 	}
-	ia, ib := index(a), index(b)
-	keys := make([]string, 0, len(ia))
-	for k := range ia {
-		if ib[k] != nil {
+	return diffs
+}
+
+// cellIndex maps every cell of f by its "bench/kind" key.
+func cellIndex(f *File) map[string]*Cell {
+	m := make(map[string]*Cell, len(f.Cells))
+	for i := range f.Cells {
+		m[f.Cells[i].Bench+"/"+f.Cells[i].Kind] = &f.Cells[i]
+	}
+	return m
+}
+
+// unionKeys returns the sorted union of two maps' keys.
+func unionKeys[V any](a, b map[string]V) []string {
+	keys := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
 			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
+	return keys
+}
 
+// names maps every key of m to zero, so diffValues compares presence only.
+func names(m map[string]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for name := range m {
+		out[name] = 0
+	}
+	return out
+}
+
+// counterVals flattens a snapshot's counters and histogram counts.
+func counterVals(s *obs.Snapshot) map[string]float64 {
+	m := make(map[string]float64, len(s.Counters)+len(s.Histograms))
+	for name, v := range s.Counters {
+		m[name] = v
+	}
+	for name, h := range s.Histograms {
+		m[name+"_count"] = float64(h.Count)
+	}
+	return m
+}
+
+// diffValues diffs two cells' named values in name order: a name on one
+// side only is "missing" or "new"; NaN on either side is "nan" (NaN
+// compares false against any tolerance, so without this case a value gone
+// NaN would silently pass); a relative move beyond tol is "drift". Names
+// for which exempt returns true are NaN-gated but never drift.
+func diffValues(c *Cell, oldVals, newVals map[string]float64, tol float64, exempt func(string) bool) []ObsDiff {
 	var diffs []ObsDiff
-	for _, k := range keys {
-		ca, cb := ia[k], ib[k]
-		diffs = append(diffs, compareCellAttr(ca, cb, tol)...)
-		if ca.Obs == nil && cb.Obs == nil {
+	for _, name := range unionKeys(oldVals, newVals) {
+		oldV, inOld := oldVals[name]
+		newV, inNew := newVals[name]
+		d := ObsDiff{Bench: c.Bench, Kind: c.Kind, Metric: name, Old: oldV, New: newV}
+		switch {
+		case !inNew:
+			d.What = "missing"
+		case !inOld:
+			d.What = "new"
+		case math.IsNaN(oldV) || math.IsNaN(newV):
+			d.What = "nan"
+		case exempt != nil && exempt(name), oldV == 0 && newV == 0:
 			continue
-		}
-		if ca.Obs == nil || cb.Obs == nil {
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind, What: "no-obs"})
-			continue
-		}
-		oldVals := map[string]float64{}
-		newVals := map[string]float64{}
-		for name, v := range ca.Obs.Counters {
-			oldVals[name] = v
-		}
-		for name, v := range cb.Obs.Counters {
-			newVals[name] = v
-		}
-		for name, h := range ca.Obs.Histograms {
-			oldVals[name+"_count"] = float64(h.Count)
-		}
-		for name, h := range cb.Obs.Histograms {
-			newVals[name+"_count"] = float64(h.Count)
-		}
-		// Gauges participate in the name universe only (see doc comment).
-		for name := range ca.Obs.Gauges {
-			if _, ok := cb.Obs.Gauges[name]; !ok {
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, What: "missing"})
+		default:
+			scale := math.Max(math.Abs(oldV), 1e-300)
+			if !(math.Abs(newV-oldV)/scale > tol) {
+				continue
 			}
+			d.Rel, d.What = (newV-oldV)/scale, "drift"
 		}
-		for name := range cb.Obs.Gauges {
-			if _, ok := ca.Obs.Gauges[name]; !ok {
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, What: "new"})
-			}
-		}
-		names := make([]string, 0, len(oldVals)+len(newVals))
-		for name := range oldVals {
-			names = append(names, name)
-		}
-		for name := range newVals {
-			if _, ok := oldVals[name]; !ok {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			oldV, inOld := oldVals[name]
-			newV, inNew := newVals[name]
-			switch {
-			case !inNew:
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, Old: oldV, What: "missing"})
-			case !inOld:
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, New: newV, What: "new"})
-			case math.IsNaN(oldV) || math.IsNaN(newV):
-				// Same NaN gate as Compare: NaN relative drift compares
-				// false against any tolerance, so without this branch a
-				// counter gone NaN would silently pass.
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, Old: oldV, New: newV, What: "nan"})
-			default:
-				if oldV == 0 && newV == 0 {
-					continue
-				}
-				rel := math.Abs(newV-oldV) / math.Max(math.Abs(oldV), 1e-300)
-				if rel > tol {
-					diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-						Metric: name, Old: oldV, New: newV,
-						Rel: (newV - oldV) / math.Max(math.Abs(oldV), 1e-300), What: "drift"})
-				}
-			}
-		}
+		diffs = append(diffs, d)
 	}
 	return diffs
 }
@@ -564,61 +557,4 @@ func attrVals(a *obs.AttrSnapshot) map[string]float64 {
 // from drift comparison.
 func isAttrResidual(name string) bool {
 	return len(name) >= len("_residual") && name[len(name)-len("_residual"):] == "_residual"
-}
-
-// compareCellAttr diffs two cells' attribution reports term by term, under
-// the same tolerance and NaN-gate discipline as the counter comparison.
-// Cells without attribution on either side are skipped (campaign ran
-// without -attr); attribution on exactly one side is reported.
-func compareCellAttr(ca, cb *Cell, tol float64) []ObsDiff {
-	if ca.Attr == nil && cb.Attr == nil {
-		return nil
-	}
-	if ca.Attr == nil || cb.Attr == nil {
-		return []ObsDiff{{Bench: ca.Bench, Kind: ca.Kind, What: "no-attr"}}
-	}
-	oldVals := attrVals(ca.Attr)
-	newVals := attrVals(cb.Attr)
-	names := make([]string, 0, len(oldVals)+len(newVals))
-	for name := range oldVals {
-		names = append(names, name)
-	}
-	for name := range newVals {
-		if _, ok := oldVals[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var diffs []ObsDiff
-	for _, name := range names {
-		oldV, inOld := oldVals[name]
-		newV, inNew := newVals[name]
-		switch {
-		case !inNew:
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-				Metric: name, Old: oldV, What: "missing"})
-		case !inOld:
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-				Metric: name, New: newV, What: "new"})
-		case math.IsNaN(oldV) || math.IsNaN(newV):
-			// An attribution term gone NaN means the decomposition itself
-			// broke (a 0/0 in solo-time or a poisoned elapsed); it must
-			// never pass because NaN compares false against tolerance.
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-				Metric: name, Old: oldV, New: newV, What: "nan"})
-		case isAttrResidual(name):
-			continue
-		default:
-			if oldV == 0 && newV == 0 {
-				continue
-			}
-			rel := math.Abs(newV-oldV) / math.Max(math.Abs(oldV), 1e-300)
-			if rel > tol {
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, Old: oldV, New: newV,
-					Rel: (newV - oldV) / math.Max(math.Abs(oldV), 1e-300), What: "drift"})
-			}
-		}
-	}
-	return diffs
 }

@@ -111,10 +111,10 @@ func TestRescheduleToSameTimeRequeues(t *testing.T) {
 	}
 }
 
-// TestRescheduleDoesNotCountAsCancel: refresh coalescing changes how often
-// tasks are rescheduled, so the cancellation counter — which IS exported
-// through the observability layer — must not move on reschedules, or
-// coalesced and uncoalesced runs would produce different metrics.
+// TestRescheduleDoesNotCountAsCancel: how often tasks are rescheduled is a
+// detail of the machine's refresh strategy, so the cancellation counter —
+// which IS exported through the observability layer — must not move on
+// reschedules, or a change of refresh strategy would move the metrics.
 func TestRescheduleDoesNotCountAsCancel(t *testing.T) {
 	e := NewEngine()
 	h := e.At(1, func() {})

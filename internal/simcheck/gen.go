@@ -88,10 +88,6 @@ type Scenario struct {
 	Spec  topology.Spec
 	Seed  uint64
 	Noise bool
-	// NoCoalesce runs the machine with instant-coalesced refresh disabled,
-	// so the fuzzers exercise both refresh paths against the same oracles
-	// (the two must be byte-identical; a divergence is a coalescing bug).
-	NoCoalesce bool
 	// Programs > 1 runs that many identically-shaped program copies as a
 	// concurrent workload through the admission queue; <= 1 is the solo
 	// RunProgram path.
@@ -147,11 +143,10 @@ const numSchedKinds = int(harness.KindShepherd) + 1
 // GenScenario draws a full scenario.
 func GenScenario(src Source, seed uint64) Scenario {
 	sc := Scenario{
-		Spec:       GenTopoSpec(src),
-		Seed:       seed,
-		Noise:      src.Intn(2) == 0,
-		NoCoalesce: src.Intn(4) == 0,
-		Steps:      1 + src.Intn(3),
+		Spec:  GenTopoSpec(src),
+		Seed:  seed,
+		Noise: src.Intn(2) == 0,
+		Steps: 1 + src.Intn(3),
 	}
 	nLoops := 1 + src.Intn(3)
 	for i := 0; i < nLoops; i++ {
@@ -244,9 +239,9 @@ func (sc Scenario) SchedName() string {
 // String renders the scenario compactly for failure reports.
 func (sc Scenario) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario{%dx%dx%d ccd=%d seed=%#x noise=%v coalesce=%v sched=%s steps=%d",
+	fmt.Fprintf(&b, "scenario{%dx%dx%d ccd=%d seed=%#x noise=%v sched=%s steps=%d",
 		sc.Spec.Sockets, sc.Spec.NodesPerSocket, sc.Spec.CoresPerNode, sc.Spec.CoresPerCCD,
-		sc.Seed, sc.Noise, !sc.NoCoalesce, sc.SchedName(), sc.Steps)
+		sc.Seed, sc.Noise, sc.SchedName(), sc.Steps)
 	if sc.Programs > 1 {
 		fmt.Fprintf(&b, " progs=%d spread=%.3g", sc.Programs, sc.ArrivalSpread)
 	}
@@ -401,11 +396,10 @@ func (sc Scenario) runSeed(seed uint64) Result {
 		noise = machine.DefaultNoise()
 	}
 	m := machine.New(machine.Config{
-		Topo:       topology.MustNew(sc.Spec),
-		Seed:       seed,
-		Noise:      noise,
-		Alpha:      -1,
-		NoCoalesce: sc.NoCoalesce,
+		Topo:  topology.MustNew(sc.Spec),
+		Seed:  seed,
+		Noise: noise,
+		Alpha: -1,
 	})
 	m.Engine().SetLimit(eventLimit)
 	rt := taskrt.New(m, sc.scheduler(), taskrt.DefaultCosts())
