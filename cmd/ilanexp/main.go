@@ -1,6 +1,8 @@
 // Command ilanexp reproduces the paper's evaluation: it runs the seven
 // benchmarks under the requested schedulers on the simulated 64-core Zen 4
-// machine and prints the rows of the requested figure or table.
+// machine and prints the rows of the requested figure or table. Each -exp
+// value is a row of the harness experiment table, which also says which
+// optional flags it takes; any other is a usage error.
 //
 // Usage:
 //
@@ -9,6 +11,8 @@
 //	ilanexp -exp all -jobs 8         # same campaign across 8 workers
 //	ilanexp -exp fig6 -bench CG,FT   # subset of benchmarks
 //	ilanexp -exp fig2 -class test    # reduced scale (fast smoke run)
+//	ilanexp -exp sweep -class test -reps 2 -bench CG -param beta
+//	                                 # sensitivity curve (DESIGN.md §5)
 package main
 
 import (
@@ -20,6 +24,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -43,7 +48,11 @@ import (
 const exitInterrupted = 3
 
 func main() {
-	exp := flag.String("exp", "fig2", "experiment: fig2|fig3|fig4|table1|fig5|fig6|affinity|counters|related|oracle|multi|all")
+	var names []string
+	for _, e := range harness.Experiments() {
+		names = append(names, e.Name)
+	}
+	exp := flag.String("exp", "fig2", "experiment: "+strings.Join(names, "|"))
 	reps := flag.Int("reps", 30, "repetitions per (benchmark, scheduler) pair")
 	jobs := flag.Int("jobs", 0, "parallel workers for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	class := flag.String("class", "paper", "benchmark scale: paper|test")
@@ -56,14 +65,16 @@ func main() {
 	out := flag.String("out", "", "also write the campaign as JSON (for resultdiff)")
 	label := flag.String("label", "", "label stored in the -out file")
 	in := flag.String("in", "", "render reports from a saved campaign JSON instead of running")
-	metrics := flag.Bool("metrics", false, "collect observability metrics; merged per cell into the -out JSON")
+	metrics := flag.Bool("metrics", false, "collect observability metrics; merged per cell into the -out JSON (-exp sweep: ILAN's steal split per point)")
 	traceDecisions := flag.Bool("trace-decisions", false, "record every ILAN configuration decision (implies -metrics)")
 	serve := flag.String("serve", "", "serve live campaign progress over HTTP on this address (e.g. :8080 or 127.0.0.1:0)")
 	serveLinger := flag.Duration("serve-linger", 0, "keep the -serve monitor up this long after the campaign finishes")
 	perfetto := flag.String("perfetto", "", "write rep 0's execution trace as Perfetto (Chrome trace-event) JSON to this file (implies -metrics -trace-decisions)")
 	attrOut := flag.String("attr", "", "collect virtual-time attribution and write the per-cell report JSON to this file (output-neutral: -out/-perfetto bytes are identical either way)")
-	corun := flag.String("corun", "", "comma-separated benchmarks to co-run as one workload (-exp multi; default CG,FT)")
+	corun := flag.String("corun", "CG,FT", "comma-separated benchmarks to co-run as one workload (-exp multi)")
 	spread := flag.Float64("spread", 0, "spread co-run program arrivals over this many seconds (-exp multi)")
+	param := flag.String("param", "beta", "machine-model parameter to vary (-exp sweep): alpha|beta|controllerbw|corebw|linkbw")
+	valuesArg := flag.String("values", "0,0.0003,0.001,0.003", "comma-separated parameter values (-exp sweep)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memprofile := flag.String("memprofile", "", "write a heap-allocation profile to this file at exit")
 	cacheOn := flag.Bool("cache", false, "memoize per-unit results in a content-addressed on-disk cache (see -cache-dir)")
@@ -72,19 +83,86 @@ func main() {
 	cacheMaxMB := flag.Int("cache-max-mb", 1024, "campaign cache size cap in MiB before LRU eviction (0 = unbounded)")
 	flag.Parse()
 
-	// Flag-value errors exit with code 2 (matching flag.Parse's own
-	// convention); runtime failures exit with 1.
+	// Usage errors exit with code 2 (flag.Parse's own convention) before
+	// any file is read or created and before the monitor starts; runtime
+	// failures exit with 1.
+	e, ok := harness.LookupExperiment(*exp)
+	if !ok {
+		usage("unknown experiment %q", *exp)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(e, set); err != nil {
+		usage("%v", err)
+	}
 	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "ilanexp: -jobs must be >= 0 (got %d)\n", *jobs)
-		os.Exit(2)
+		usage("-jobs must be >= 0 (got %d)", *jobs)
 	}
 	if *reps < 1 {
-		fmt.Fprintf(os.Stderr, "ilanexp: -reps must be >= 1 (got %d)\n", *reps)
-		os.Exit(2)
+		usage("-reps must be >= 1 (got %d)", *reps)
 	}
 	if *cacheMaxMB < 0 {
-		fmt.Fprintf(os.Stderr, "ilanexp: -cache-max-mb must be >= 0 (got %d)\n", *cacheMaxMB)
-		os.Exit(2)
+		usage("-cache-max-mb must be >= 0 (got %d)", *cacheMaxMB)
+	}
+	if *spread < 0 {
+		usage("-spread must be >= 0 (got %g)", *spread)
+	}
+
+	req := harness.Request{Config: harness.DefaultConfig(), Benches: workloads.All()}
+	cfg := &req.Config
+	cfg.Reps = *reps
+	cfg.Seed = *seed
+	cfg.Jobs = *jobs
+	cfg.Metrics = *metrics
+	cfg.TraceDecisions = *traceDecisions
+	cfg.Attr = *attrOut != ""
+	if *perfetto != "" {
+		// The exporter needs the task trace plus the decision trace; turn
+		// both on rather than failing on a missing flag combination.
+		cfg.TraceTasks = true
+		cfg.TraceDecisions = true
+	}
+	spec, ok := topology.Presets()[*topo]
+	if !ok {
+		usage("unknown topology %q", *topo)
+	}
+	cfg.Topo = spec
+	if *disturb >= 0 {
+		cfg.Disturb = &harness.Disturb{Node: *disturb}
+	}
+	switch *class {
+	case "paper":
+		cfg.Class = workloads.ClassPaper
+	case "test":
+		cfg.Class = workloads.ClassTest
+	default:
+		usage("unknown class %q", *class)
+	}
+	if e.Accepts&harness.AcceptCoRun != 0 {
+		cfg.Multi = &harness.CoRun{Benches: splitList(*corun), ArrivalSpreadSec: *spread}
+	}
+	if *benchList != "" {
+		req.Benches = nil
+		for _, name := range splitList(*benchList) {
+			b, ok := workloads.ByName(name)
+			if !ok {
+				usage("unknown benchmark %q", name)
+			}
+			req.Benches = append(req.Benches, b)
+		}
+	}
+	if e.Accepts&harness.AcceptSweep != 0 {
+		var err error
+		if req.Param, err = harness.ParseSweepParam(*param); err != nil {
+			usage("%v", err)
+		}
+		for _, s := range splitList(*valuesArg) {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				usage("bad -values entry %q: %v", s, err)
+			}
+			req.Values = append(req.Values, v)
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -112,26 +190,22 @@ func main() {
 		}()
 	}
 
-	cfg := harness.DefaultConfig()
-	cfg.Reps = *reps
-	cfg.Seed = *seed
-	cfg.Jobs = *jobs
-	cfg.Metrics = *metrics
-	cfg.TraceDecisions = *traceDecisions
-	cfg.Attr = *attrOut != ""
-	if *perfetto != "" {
-		// The exporter needs the task trace plus the decision trace; turn
-		// both on rather than failing on a missing flag combination.
-		cfg.TraceTasks = true
-		cfg.TraceDecisions = true
+	if *in != "" {
+		o, err := load(*in)
+		if err != nil {
+			die(err)
+		}
+		if err := e.Render(os.Stdout, o, *chart); err != nil {
+			die(err)
+		}
+		return
 	}
 
 	// The live monitor observes the campaign through a Tracker the pool
 	// publishes into; it never feeds back, so -out JSON is byte-identical
 	// with or without -serve.
-	var track *harness.Tracker
 	if *serve != "" {
-		track = harness.NewTracker()
+		track := harness.NewTracker()
 		cfg.Track = track
 		srv := obsserve.New(track)
 		addr, err := srv.Start(*serve)
@@ -144,69 +218,7 @@ func main() {
 			defer time.Sleep(*serveLinger)
 		}
 	}
-	spec, ok := topology.Presets()[*topo]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ilanexp: unknown topology %q\n", *topo)
-		os.Exit(2)
-	}
-	cfg.Topo = spec
-	if *disturb >= 0 {
-		cfg.Disturb = &harness.Disturb{Node: *disturb}
-	}
-	switch *class {
-	case "paper":
-		cfg.Class = workloads.ClassPaper
-	case "test":
-		cfg.Class = workloads.ClassTest
-	default:
-		fmt.Fprintf(os.Stderr, "ilanexp: unknown class %q\n", *class)
-		os.Exit(2)
-	}
 
-	if *exp == "multi" {
-		list := *corun
-		if list == "" {
-			list = "CG,FT"
-		}
-		co := &harness.CoRun{ArrivalSpreadSec: *spread}
-		for _, name := range strings.Split(list, ",") {
-			co.Benches = append(co.Benches, strings.TrimSpace(name))
-		}
-		if *spread < 0 {
-			fmt.Fprintf(os.Stderr, "ilanexp: -spread must be >= 0 (got %g)\n", *spread)
-			os.Exit(2)
-		}
-		cfg.Multi = co
-	} else if *corun != "" || *spread != 0 {
-		fmt.Fprintln(os.Stderr, "ilanexp: -corun/-spread require -exp multi")
-		os.Exit(2)
-	}
-	// Flags an experiment would silently ignore are usage errors too.
-	if *exp == "oracle" && (*out != "" || *perfetto != "" || *attrOut != "") {
-		fmt.Fprintln(os.Stderr, "ilanexp: -out/-perfetto/-attr are not supported by -exp oracle")
-		os.Exit(2)
-	}
-	if *chart && (*exp == "multi" || *exp == "oracle") {
-		fmt.Fprintln(os.Stderr, "ilanexp: -chart is not supported by -exp multi or -exp oracle")
-		os.Exit(2)
-	}
-
-	benches := workloads.All()
-	if *benchList != "" {
-		var subset []workloads.Benchmark
-		for _, name := range strings.Split(*benchList, ",") {
-			b, ok := workloads.ByName(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "ilanexp: unknown benchmark %q\n", name)
-				os.Exit(2)
-			}
-			subset = append(subset, b)
-		}
-		benches = subset
-	}
-
-	// The campaign cache and graceful interruption are wired after every
-	// flag is validated, so a usage error never creates a cache directory.
 	// finishCache runs on every exit path that may have touched the cache
 	// (os.Exit skips defers, so the interrupted path calls it explicitly).
 	finishCache := func() {}
@@ -244,134 +256,78 @@ func main() {
 		signal.Stop(sigc)
 	}()
 
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			die(err)
-		}
-		saved, err := results.Read(f)
-		f.Close()
-		if err != nil {
-			die(err)
-		}
-		if *exp == "multi" {
-			mm := saved.ToMultiMatrix()
-			if mm == nil {
-				fmt.Fprintln(os.Stderr, "ilanexp: results file holds no multi campaign")
-				os.Exit(1)
-			}
-			if err := harness.ReportMulti(os.Stdout, mm); err != nil {
-				die(err)
-			}
-			return
-		}
-		mx := saved.ToMatrix()
-		if len(mx.Benches) == 0 {
-			fmt.Fprintf(os.Stderr, "ilanexp: %s holds no timing samples (attribution sidecars are read with obsdump attr)\n", *in)
-			os.Exit(1)
-		}
-		if err := reportSolo(os.Stdout, *exp, *chart, mx); err != nil {
-			die(err)
-		}
-		return
+	if !*quiet {
+		req.Progress = os.Stderr
 	}
-
-	if *exp == "oracle" {
-		progress := func(bench string, threads int, full bool) {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "oracle %-8s threads=%-3d full=%v\n", bench, threads, full)
-			}
-		}
-		res, err := harness.RunOracle(benches, cfg, progress)
-		if err != nil {
-			failCampaign(err, cfg, finishCache)
-		}
-		harness.ReportOracle(os.Stdout, res)
-		return
-	}
-
-	kinds, err := harness.KindsFor(*exp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ilanexp:", err)
-		os.Exit(2)
-	}
-
 	start := time.Now()
-	var res campaignResult
-	if *exp == "multi" {
-		progress := func(k harness.Kind) {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "queued %-8s %-12s (%d reps, %d jobs)\n",
-					cfg.Multi.Scenario(), k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
-			}
-		}
-		mm, err := harness.RunMulti(kinds, cfg, progress)
-		if err != nil {
-			failCampaign(err, cfg, finishCache)
-		}
-		res = campaignResult{
-			report: func(w io.Writer) error { return harness.ReportMulti(w, mm) },
-			file:   func() *results.File { return results.FromMulti(mm, cfg, *label) },
-			// Co-run units do not collect attribution; the sidecar carries
-			// the solo reference cells' reports.
-			solo: mm.Solo,
-		}
-		for _, k := range mm.Kinds {
-			if c := mm.Cells[k]; c != nil && c.TaskTrace() != nil {
-				res.traced = append(res.traced, tracedCell{k, c.TaskTrace(), c.Samples[0].Obs})
-			}
-		}
-	} else {
-		progress := func(bench string, k harness.Kind) {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "queued %-8s %-12s (%d reps, %d jobs)\n",
-					bench, k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
-			}
-		}
-		mx, err := harness.Run(benches, kinds, cfg, progress)
-		if err != nil {
-			failCampaign(err, cfg, finishCache)
-		}
-		res = campaignResult{
-			report: func(w io.Writer) error { return reportSolo(w, *exp, *chart, mx) },
-			file:   func() *results.File { return results.FromMatrix(mx, cfg, *label) },
-			solo:   mx,
-		}
-		mx.EachCell(func(c *harness.Cell) {
-			if c.TaskTrace() != nil {
-				res.traced = append(res.traced, tracedCell{c.Kind, c.TaskTrace(), c.Samples[0].Obs})
-			}
-		})
+	o, err := e.Run(req)
+	if err != nil {
+		failCampaign(err, *cfg, finishCache)
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
-	if err := res.report(os.Stdout); err != nil {
+	if err := e.Render(os.Stdout, o, *chart); err != nil {
 		die(err)
 	}
-	outputFiles{out: *out, perfetto: *perfetto, attr: *attrOut, label: *label, quiet: *quiet}.write(res, cfg)
+	outputFiles{out: *out, perfetto: *perfetto, attr: *attrOut, label: *label, quiet: *quiet}.write(o, *cfg)
 }
 
-// reportSolo prints a solo campaign's report, then its chart when asked
-// for one (table1 has none).
-func reportSolo(w io.Writer, exp string, chart bool, mx *harness.Matrix) error {
-	if err := harness.Report(w, exp, mx); err != nil {
-		return err
-	}
-	if !chart || exp == "table1" {
-		return nil
-	}
-	fmt.Fprintln(w)
-	return harness.RenderChart(w, exp, mx)
+// optionalFlags maps each flag an experiment may not take to the row
+// capability that accepts it.
+var optionalFlags = []struct {
+	name  string
+	needs harness.Accepts
+}{
+	{"in", harness.AcceptIn},
+	{"out", harness.AcceptFiles}, {"perfetto", harness.AcceptFiles}, {"attr", harness.AcceptFiles},
+	{"chart", harness.AcceptChart},
+	{"bench", harness.AcceptBench},
+	{"corun", harness.AcceptCoRun}, {"spread", harness.AcceptCoRun},
+	{"param", harness.AcceptSweep}, {"values", harness.AcceptSweep},
 }
 
-// campaignResult is what a finished solo or co-run campaign hands to the
-// shared report-and-write path.
-type campaignResult struct {
-	report func(io.Writer) error
-	file   func() *results.File // the -out file, built only when requested
-	solo   *harness.Matrix      // solo cells: the source of the -attr sidecar
-	traced []tracedCell         // cells whose rep 0 recorded a task trace
+// checkFlags returns the usage error for a flag, among those set on the
+// command line, that the experiment would silently ignore. A re-render
+// from -in runs nothing and writes no file, so it takes only -chart.
+func checkFlags(e *harness.Experiment, set map[string]bool) error {
+	accepts, mode := e.Accepts, "-exp "+e.Name
+	if set["in"] && accepts&harness.AcceptIn != 0 {
+		accepts &= harness.AcceptIn | harness.AcceptChart
+		mode += " -in"
+	}
+	for _, f := range optionalFlags {
+		if set[f.name] && accepts&f.needs == 0 {
+			return fmt.Errorf("-%s is not supported by %s", f.name, mode)
+		}
+	}
+	return nil
+}
+
+// load restores a saved campaign for -in.
+func load(path string) (*harness.Outcome, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	saved, err := results.Read(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	o := &harness.Outcome{Matrix: saved.ToMatrix(), Multi: saved.ToMultiMatrix()}
+	if len(o.Matrix.Benches) == 0 {
+		return nil, fmt.Errorf("%s holds no timing samples (attribution sidecars are read with obsdump attr)", path)
+	}
+	return o, nil
+}
+
+func splitList(s string) []string {
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
 }
 
 // outputFiles are the requested output paths of a campaign run.
@@ -383,22 +339,30 @@ type outputFiles struct {
 // write writes every requested output file. Each write is atomic (temp +
 // rename): a crash or SIGINT mid-encode must not clobber the previous good
 // file with truncated JSON.
-func (o outputFiles) write(res campaignResult, cfg harness.Config) {
+func (o outputFiles) write(res *harness.Outcome, cfg harness.Config) {
 	if o.out != "" {
-		if err := fsatomic.WriteFile(o.out, res.file().Write); err != nil {
+		var file *results.File
+		if res.Multi != nil {
+			file = results.FromMulti(res.Multi, cfg, o.label)
+		} else {
+			file = results.FromMatrix(res.Matrix, cfg, o.label)
+		}
+		if err := fsatomic.WriteFile(o.out, file.Write); err != nil {
 			die(err)
 		}
 		o.note("campaign written to %s\n", o.out)
 	}
 	if o.perfetto != "" {
-		if err := writePerfetto(o.perfetto, res.traced); err != nil {
+		if err := writePerfetto(o.perfetto, tracedCells(res)); err != nil {
 			die(err)
 		}
 		o.note("perfetto trace written to %s\n", o.perfetto)
 	}
 	if o.attr != "" {
 		// The attribution report is a sidecar results.File (attr-only cells).
-		file := results.AttrFromMatrix(res.solo, cfg, o.label)
+		// A co-run's units collect no attribution; its sidecar carries the
+		// solo reference cells' reports.
+		file := results.AttrFromMatrix(res.Matrix, cfg, o.label)
 		if file == nil {
 			fmt.Fprintln(os.Stderr, "ilanexp: no attribution collected (internal error: -attr should imply attribution)")
 			os.Exit(1)
@@ -414,6 +378,12 @@ func (o outputFiles) note(format, path string) {
 	if !o.quiet {
 		fmt.Fprintf(os.Stderr, format, path)
 	}
+}
+
+// usage reports a usage error and exits with code 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ilanexp: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // die reports a runtime failure and exits with code 1.
@@ -445,6 +415,26 @@ type tracedCell struct {
 	kind  harness.Kind
 	trace *taskrt.Trace
 	obs   *obs.Snapshot
+}
+
+// tracedCells lists the cells whose rep 0 recorded a task trace: a
+// co-run's workload cells, or else the solo cells.
+func tracedCells(res *harness.Outcome) []tracedCell {
+	var cells []tracedCell
+	if res.Multi != nil {
+		for _, k := range res.Multi.Kinds {
+			if c := res.Multi.Cells[k]; c != nil && c.TaskTrace() != nil {
+				cells = append(cells, tracedCell{k, c.TaskTrace(), c.Samples[0].Obs})
+			}
+		}
+		return cells
+	}
+	res.Matrix.EachCell(func(c *harness.Cell) {
+		if c.TaskTrace() != nil {
+			cells = append(cells, tracedCell{c.Kind, c.TaskTrace(), c.Samples[0].Obs})
+		}
+	})
+	return cells
 }
 
 // writePerfetto exports rep 0's task trace as Chrome trace-event JSON.

@@ -70,7 +70,7 @@ func main() {
 	}
 
 	// Flag-value errors exit with code 2, runtime failures with 1 — the
-	// same convention as ilanexp and sweep.
+	// same convention as ilanexp.
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "obsdump: -in is required")
 		os.Exit(2)
@@ -355,19 +355,16 @@ func writePTT(decisions []obs.Decision, tr *taskrt.Trace) {
 // Node rows come from the per-node resource samples, which cover every
 // node, so nodes a molded plan left idle still show as blank rows.
 func writeTimeline(tr *taskrt.Trace) error {
-	nodes, cores := 0, 0
+	nodes := 0
 	for _, r := range tr.Resources {
 		nodes = max(nodes, r.Node+1)
-	}
-	for _, t := range tr.Tasks {
-		cores = max(cores, t.Core+1)
 	}
 	if nodes == 0 {
 		return fmt.Errorf("task trace has no per-node resource samples")
 	}
 	fmt.Println(tr.Summary(nodes))
 	fmt.Println()
-	return timeline.Render(os.Stdout, tr, timeline.Options{ByNode: true, Cores: cores, Nodes: nodes})
+	return timeline.Render(os.Stdout, tr, nodes)
 }
 
 // writeAttr renders the virtual-time attribution reports (DESIGN.md §14).

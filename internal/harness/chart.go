@@ -1,73 +1,28 @@
 package harness
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/ilan-sched/ilan/internal/textchart"
 )
 
-// RenderChart draws the named experiment as an ASCII bar chart — the
-// visual analogue of the paper's figures. Table-shaped experiments
-// (table1) have no chart form.
-func RenderChart(w io.Writer, exp string, m *Matrix) error {
-	switch exp {
-	case "fig2":
-		return chartSpeedups(w, m,
-			"Figure 2: ILAN speedup vs baseline (1.0 = parity)",
-			[]Kind{KindILAN})
-	case "fig3":
-		return chartThreads(w, m)
-	case "fig4":
-		return chartSpeedups(w, m,
-			"Figure 4: ILAN without moldability vs baseline (1.0 = parity)",
-			[]Kind{KindILANNoMold})
-	case "fig5":
-		return chartOverhead(w, m)
-	case "fig6":
-		return chartSpeedups(w, m,
-			"Figure 6: ILAN and work-sharing vs baseline (1.0 = parity)",
-			[]Kind{KindILAN, KindWorkSharing})
-	case "affinity":
-		return chartSpeedups(w, m,
-			"Extension: ILAN vs affinity hints, speedup vs baseline",
-			[]Kind{KindILAN, KindAffinity})
-	case "counters":
-		return chartSpeedups(w, m,
-			"Extension: counter-guided selection, speedup vs baseline",
-			[]Kind{KindILAN, KindILANCounters})
-	case "related":
-		return chartSpeedups(w, m,
-			"Related work: shepherd hierarchy vs ILAN, speedup vs baseline",
-			[]Kind{KindShepherd, KindILAN})
-	case "table1":
-		return fmt.Errorf("harness: table1 has no chart form")
-	case "all":
-		for _, e := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "affinity", "counters", "related"} {
-			if err := RenderChart(w, e, m); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	default:
-		return fmt.Errorf("harness: unknown experiment %q", exp)
-	}
-}
+// The charts below draw a matrix whose cells their experiment's Report
+// has checked.
 
-func chartSpeedups(w io.Writer, m *Matrix, title string, kinds []Kind) error {
-	c := &textchart.Chart{Title: title, Rows: m.Benches, Reference: 1, Unit: "x"}
-	for _, k := range kinds {
-		s := textchart.Series{Label: k.String()}
-		for _, b := range m.Benches {
-			if m.Cell(b, k) == nil {
-				return fmt.Errorf("harness: missing %s cell for %s", k, b)
+// speedupChart returns a chart of each kind's speedup vs the baseline,
+// one series per kind.
+func speedupChart(title string, kinds ...Kind) func(io.Writer, *Matrix) error {
+	return func(w io.Writer, m *Matrix) error {
+		c := &textchart.Chart{Title: title, Rows: m.Benches, Reference: 1, Unit: "x"}
+		for _, k := range kinds {
+			s := textchart.Series{Label: k.String()}
+			for _, b := range m.Benches {
+				s.Values = append(s.Values, m.Speedup(b, k))
 			}
-			s.Values = append(s.Values, m.Speedup(b, k))
+			c.Series = append(c.Series, s)
 		}
-		c.Series = append(c.Series, s)
+		return c.Render(w)
 	}
-	return c.Render(w)
 }
 
 func chartThreads(w io.Writer, m *Matrix) error {
@@ -78,11 +33,7 @@ func chartThreads(w io.Writer, m *Matrix) error {
 	}
 	s := textchart.Series{Label: "ilan"}
 	for _, b := range m.Benches {
-		cell := m.Cell(b, KindILAN)
-		if cell == nil {
-			return fmt.Errorf("harness: missing ILAN cell for %s", b)
-		}
-		s.Values = append(s.Values, cell.MeanThreads())
+		s.Values = append(s.Values, m.Cell(b, KindILAN).MeanThreads())
 	}
 	c.Series = []textchart.Series{s}
 	return c.Render(w)
@@ -97,9 +48,6 @@ func chartOverhead(w io.Writer, m *Matrix) error {
 	}
 	s := textchart.Series{Label: "ilan"}
 	for _, b := range m.Benches {
-		if m.Cell(b, KindILAN) == nil || m.Cell(b, KindBaseline) == nil {
-			return fmt.Errorf("harness: missing cells for %s", b)
-		}
 		s.Values = append(s.Values, m.OverheadRatio(b, KindILAN))
 	}
 	c.Series = []textchart.Series{s}

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,41 +167,142 @@ func mustBench(t *testing.T, name string) workloads.Benchmark {
 	return b
 }
 
+// TestKindsFor checks the kinds of the experiment table: every row runs
+// the baseline first, the all row's kinds are the union of the other
+// rows' kinds in Kind order, and an unknown -exp has no row.
 func TestKindsFor(t *testing.T) {
-	for _, exp := range []string{"fig2", "fig3", "fig4", "table1", "fig5", "fig6", "all"} {
-		kinds, err := KindsFor(exp)
-		if err != nil {
-			t.Fatalf("KindsFor(%s): %v", exp, err)
+	all := mustExperiment(t, "all")
+	if _, ok := LookupExperiment("fig99"); ok {
+		t.Fatal("unknown experiment found")
+	}
+	var inRow [numKinds]bool
+	for _, e := range Experiments() {
+		if len(e.Kinds) == 0 || e.Kinds[0] != KindBaseline {
+			t.Errorf("%s: kinds %v do not start with the baseline", e.Name, e.Kinds)
 		}
-		if kinds[0] != KindBaseline {
-			t.Fatalf("KindsFor(%s) does not start with baseline", exp)
+		if e == all {
+			continue
+		}
+		for _, k := range e.Kinds {
+			inRow[k] = true
 		}
 	}
-	if _, err := KindsFor("fig99"); err == nil {
-		t.Fatal("unknown experiment accepted")
+	var union []Kind
+	for k := Kind(0); k < numKinds; k++ {
+		if inRow[k] {
+			union = append(union, k)
+		}
+	}
+	if !slices.Equal(all.Kinds, union) {
+		t.Fatalf("all kinds %v, union of the other rows %v", all.Kinds, union)
 	}
 }
 
-func TestReportsRender(t *testing.T) {
-	benches := []workloads.Benchmark{mustBench(t, "Matmul")}
-	kinds, _ := KindsFor("all")
-	mx, err := Run(benches, kinds, testConfig(), nil)
+func mustExperiment(t *testing.T, name string) *Experiment {
+	t.Helper()
+	e, ok := LookupExperiment(name)
+	if !ok {
+		t.Fatalf("no %s row", name)
+	}
+	return e
+}
+
+// matmulMatrix runs the all row's kinds over Matmul at the test class.
+func matmulMatrix(t *testing.T) *Matrix {
+	t.Helper()
+	mx, err := Run([]workloads.Benchmark{mustBench(t, "Matmul")}, mustExperiment(t, "all").Kinds, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, exp := range []string{"fig2", "fig3", "fig4", "table1", "fig5", "fig6", "all"} {
-		var buf bytes.Buffer
-		if err := Report(&buf, exp, mx); err != nil {
-			t.Fatalf("Report(%s): %v", exp, err)
-		}
-		out := buf.String()
-		if !strings.Contains(out, "Matmul") {
-			t.Fatalf("Report(%s) missing benchmark row:\n%s", exp, out)
-		}
+	return mx
+}
+
+// rowOutcome is the outcome a matrix row reports from: the cells of full
+// for exactly the row's kinds.
+func rowOutcome(e *Experiment, full *Matrix) *Outcome {
+	var cells []*Cell
+	for _, k := range e.Kinds {
+		cells = append(cells, full.Cell("Matmul", k))
 	}
-	var buf bytes.Buffer
-	if err := Report(&buf, "fig99", mx); err == nil {
-		t.Fatal("unknown report accepted")
+	return &Outcome{Matrix: BuildMatrix(cells)}
+}
+
+// TestReportsRender checks that every matrix row's report renders from a
+// matrix holding exactly its kinds, and that the all report is the rows'
+// reports in table order, each followed by a blank line.
+func TestReportsRender(t *testing.T) {
+	full := matmulMatrix(t)
+	var want bytes.Buffer
+	for _, e := range matrixRows {
+		var buf bytes.Buffer
+		if err := e.Render(&buf, rowOutcome(e, full), false); err != nil {
+			t.Fatalf("%s report: %v", e.Name, err)
+		}
+		if !strings.Contains(buf.String(), "Matmul") {
+			t.Fatalf("%s report missing benchmark row:\n%s", e.Name, buf.String())
+		}
+		fmt.Fprintln(&want, buf.String())
+	}
+	var got bytes.Buffer
+	if err := mustExperiment(t, "all").Render(&got, &Outcome{Matrix: full}, false); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("all report is not the rows' reports:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+}
+
+// TestRenderChartAllExperiments checks that a row's chart renders if and
+// only if the row declares one, and that the all output with -chart is
+// its report, a blank line, then the rows' charts in table order, each
+// followed by a blank line.
+func TestRenderChartAllExperiments(t *testing.T) {
+	full := matmulMatrix(t)
+	all := mustExperiment(t, "all")
+	var wantCharts bytes.Buffer
+	for _, e := range Experiments() {
+		declared := e.chart != nil
+		if (e.Accepts&AcceptChart != 0) != declared {
+			t.Errorf("%s: accepts -chart %v, declares a chart %v", e.Name, !declared, declared)
+		}
+		if e == all {
+			continue
+		}
+		if e.run != nil {
+			if declared || e.Render(io.Discard, &Outcome{}, true) == nil {
+				t.Errorf("%s: chart rendered by a row that declares none", e.Name)
+			}
+			continue
+		}
+		o := rowOutcome(e, full)
+		var buf bytes.Buffer
+		if err := e.Render(&buf, o, true); (err == nil) != declared {
+			t.Fatalf("%s: chart rendered %v (err %v), declared %v", e.Name, err == nil, err, declared)
+		}
+		if !declared {
+			continue
+		}
+		var chart bytes.Buffer
+		if err := e.chart(&chart, o.Matrix); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(chart.String(), "Matmul") {
+			t.Fatalf("%s chart missing benchmark row:\n%s", e.Name, chart.String())
+		}
+		if !strings.HasSuffix(buf.String(), "\n\n"+chart.String()) {
+			t.Fatalf("%s -chart output does not end with a blank line and its chart:\n%s", e.Name, buf.String())
+		}
+		fmt.Fprintln(&wantCharts, chart.String())
+	}
+	var report, got bytes.Buffer
+	if err := all.Render(&report, &Outcome{Matrix: full}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := all.Render(&got, &Outcome{Matrix: full}, true); err != nil {
+		t.Fatal(err)
+	}
+	if want := report.String() + "\n" + wantCharts.String(); got.String() != want {
+		t.Errorf("all output is not its report then the rows' charts:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 
@@ -208,15 +312,12 @@ func TestReportFailsOnMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ReportFig2(&buf, mx); err == nil {
-		t.Fatal("fig2 without ILAN cells should error")
-	}
-	if err := ReportFig4(&buf, mx); err == nil {
-		t.Fatal("fig4 without no-mold cells should error")
-	}
-	if err := ReportFig6(&buf, mx); err == nil {
-		t.Fatal("fig6 without worksharing cells should error")
+	// Every matrix row runs at least one kind besides the baseline.
+	for _, e := range matrixRows {
+		var buf bytes.Buffer
+		if err := e.Report(&buf, &Outcome{Matrix: mx}); err == nil || buf.Len() > 0 {
+			t.Fatalf("%s on a baseline-only matrix: err %v, printed %q", e.Name, err, buf.String())
+		}
 	}
 }
 
@@ -230,31 +331,6 @@ func TestProgressCallback(t *testing.T) {
 	}
 	if len(calls) != 2 {
 		t.Fatalf("progress called %d times, want 2", len(calls))
-	}
-}
-
-func TestRenderChartAllExperiments(t *testing.T) {
-	benches := []workloads.Benchmark{mustBench(t, "Matmul")}
-	kinds, _ := KindsFor("all")
-	mx, err := Run(benches, kinds, testConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, exp := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "affinity", "counters", "all"} {
-		var buf bytes.Buffer
-		if err := RenderChart(&buf, exp, mx); err != nil {
-			t.Fatalf("RenderChart(%s): %v", exp, err)
-		}
-		if !strings.Contains(buf.String(), "Matmul") {
-			t.Fatalf("chart %s missing benchmark row", exp)
-		}
-	}
-	var buf bytes.Buffer
-	if err := RenderChart(&buf, "table1", mx); err == nil {
-		t.Fatal("table1 chart should error")
-	}
-	if err := RenderChart(&buf, "nope", mx); err == nil {
-		t.Fatal("unknown chart accepted")
 	}
 }
 

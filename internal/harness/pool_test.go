@@ -268,10 +268,8 @@ func TestRunInterruptedThenResumes(t *testing.T) {
 func TestRunParallelMatchesSequential(t *testing.T) {
 	t.Parallel()
 	benches := []workloads.Benchmark{mustBench(t, "CG"), mustBench(t, "Matmul")}
-	kinds, err := KindsFor("all")
-	if err != nil {
-		t.Fatal(err)
-	}
+	all, _ := LookupExperiment("all")
+	kinds := all.Kinds
 	seqCfg := testConfig()
 	seqCfg.Reps = 3
 	seqCfg.Jobs = 1
@@ -306,17 +304,15 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		}
 	}
 
-	for _, exp := range []string{"fig2", "table1", "all"} {
-		var a, b bytes.Buffer
-		if err := Report(&a, exp, seq); err != nil {
-			t.Fatal(err)
-		}
-		if err := Report(&b, exp, par); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("report %s not byte-identical between jobs=1 and jobs=8", exp)
-		}
+	var a, b bytes.Buffer
+	if err := all.Render(&a, &Outcome{Matrix: seq}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := all.Render(&b, &Outcome{Matrix: par}, true); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("all report not byte-identical between jobs=1 and jobs=8")
 	}
 }
 

@@ -7,73 +7,13 @@ import (
 	"github.com/ilan-sched/ilan/internal/stats"
 )
 
-// KindsFor returns the scheduler kinds an experiment needs (always
-// including the baseline, which normalizes every figure).
-func KindsFor(exp string) ([]Kind, error) {
-	switch exp {
-	case "fig2", "table1", "fig5":
-		return []Kind{KindBaseline, KindILAN}, nil
-	case "fig3":
-		return []Kind{KindBaseline, KindILAN}, nil
-	case "fig4":
-		return []Kind{KindBaseline, KindILANNoMold}, nil
-	case "fig6":
-		return []Kind{KindBaseline, KindILAN, KindWorkSharing}, nil
-	case "affinity":
-		return []Kind{KindBaseline, KindILAN, KindAffinity}, nil
-	case "counters":
-		return []Kind{KindBaseline, KindILAN, KindILANCounters}, nil
-	case "related":
-		return []Kind{KindBaseline, KindShepherd, KindILAN}, nil
-	case "multi":
-		// The co-run campaign (RunMulti/ReportMulti): baseline vs ILAN
-		// under multiprogrammed interference.
-		return []Kind{KindBaseline, KindILAN}, nil
-	case "all":
-		return []Kind{KindBaseline, KindILAN, KindILANNoMold, KindWorkSharing,
-			KindAffinity, KindILANCounters, KindShepherd}, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown experiment %q", exp)
-	}
-}
+// The matrix reports below print one table row per benchmark. They run
+// behind their experiment's Report, which first checks that the matrix
+// holds a cell for every benchmark and kind of the row.
 
-// Report writes the named experiment's table from a matrix.
-func Report(w io.Writer, exp string, m *Matrix) error {
-	switch exp {
-	case "fig2":
-		return ReportFig2(w, m)
-	case "fig3":
-		return ReportFig3(w, m)
-	case "fig4":
-		return ReportFig4(w, m)
-	case "table1":
-		return ReportTable1(w, m)
-	case "fig5":
-		return ReportFig5(w, m)
-	case "fig6":
-		return ReportFig6(w, m)
-	case "affinity":
-		return ReportAffinity(w, m)
-	case "counters":
-		return ReportCounters(w, m)
-	case "related":
-		return ReportRelated(w, m)
-	case "all":
-		for _, e := range []string{"fig2", "fig3", "fig4", "table1", "fig5", "fig6", "affinity", "counters", "related"} {
-			if err := Report(w, e, m); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	default:
-		return fmt.Errorf("harness: unknown experiment %q", exp)
-	}
-}
-
-// ReportFig2 prints the normalized speedup of ILAN vs the baseline with
+// reportFig2 prints the normalized speedup of ILAN vs the baseline with
 // per-scheduler variability, the paper's Figure 2.
-func ReportFig2(w io.Writer, m *Matrix) error {
+func reportFig2(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Figure 2: normalized speedup of ILAN vs default work-stealing baseline")
 	fmt.Fprintln(w, "(higher is better; paper: avg +13.2%, max +45.8% on SP, Matmul slightly < 1)")
 	fmt.Fprintf(w, "%-8s %10s %14s %14s %12s %12s %6s\n",
@@ -81,9 +21,6 @@ func ReportFig2(w io.Writer, m *Matrix) error {
 	var speedups []float64
 	for _, b := range m.Benches {
 		base, il := m.Cell(b, KindBaseline), m.Cell(b, KindILAN)
-		if base == nil || il == nil {
-			return fmt.Errorf("fig2: missing cells for %s", b)
-		}
 		sp := m.Speedup(b, KindILAN)
 		speedups = append(speedups, sp)
 		sig := " "
@@ -96,148 +33,95 @@ func ReportFig2(w io.Writer, m *Matrix) error {
 	}
 	fmt.Fprintf(w, "%-8s %9.3fx   (geometric mean %.3fx)\n",
 		"average", stats.Mean(speedups), stats.GeoMean(speedups))
-	return nil
 }
 
-// ReportFig3 prints the execution-time-weighted average thread count ILAN
+// reportFig3 prints the execution-time-weighted average thread count ILAN
 // selected per benchmark, the paper's Figure 3.
-func ReportFig3(w io.Writer, m *Matrix) error {
+func reportFig3(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Figure 3: weighted average threads (cores) selected by ILAN")
 	fmt.Fprintln(w, "(paper: CG ~25 of 64; FT, BT, Matmul stay at 64)")
 	fmt.Fprintf(w, "%-8s %16s\n", "bench", "avg threads")
 	for _, b := range m.Benches {
-		c := m.Cell(b, KindILAN)
-		if c == nil {
-			return fmt.Errorf("fig3: missing ILAN cell for %s", b)
-		}
-		fmt.Fprintf(w, "%-8s %16.1f\n", b, c.MeanThreads())
+		fmt.Fprintf(w, "%-8s %16.1f\n", b, m.Cell(b, KindILAN).MeanThreads())
 	}
-	return nil
 }
 
-// ReportFig4 prints the speedup of ILAN without moldability vs the
+// reportFig4 prints the speedup of ILAN without moldability vs the
 // baseline, the paper's Figure 4.
-func ReportFig4(w io.Writer, m *Matrix) error {
+func reportFig4(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Figure 4: normalized speedup of ILAN without moldability vs baseline")
 	fmt.Fprintln(w, "(paper: avg +7.9%; CG drops to 0.914, SP loses most of its gain)")
 	fmt.Fprintf(w, "%-8s %10s\n", "bench", "speedup")
 	var speedups []float64
 	for _, b := range m.Benches {
-		if m.Cell(b, KindILANNoMold) == nil {
-			return fmt.Errorf("fig4: missing no-mold cell for %s", b)
-		}
 		sp := m.Speedup(b, KindILANNoMold)
 		speedups = append(speedups, sp)
 		fmt.Fprintf(w, "%-8s %9.3fx\n", b, sp)
 	}
 	fmt.Fprintf(w, "%-8s %9.3fx\n", "average", stats.Mean(speedups))
-	return nil
 }
 
-// ReportTable1 prints the standard deviation of execution time under the
+// reportTable1 prints the standard deviation of execution time under the
 // baseline and ILAN, the paper's Table 1.
-func ReportTable1(w io.Writer, m *Matrix) error {
+func reportTable1(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Table 1: standard deviation of execution time (30 runs)")
 	fmt.Fprintln(w, "(paper: ILAN lower in FT, LU, SP; higher in BT, CG, Matmul, LULESH)")
 	fmt.Fprintf(w, "%-8s %12s %12s %18s\n", "bench", "baseline", "ilan", "ilan (no outliers)")
 	for _, b := range m.Benches {
 		base, il := m.Cell(b, KindBaseline), m.Cell(b, KindILAN)
-		if base == nil || il == nil {
-			return fmt.Errorf("table1: missing cells for %s", b)
-		}
 		fmt.Fprintf(w, "%-8s %12.4f %12.4f %18.4f\n",
 			b, stats.StdDev(base.Times()), stats.StdDev(il.Times()),
 			stats.StdDev(stats.DropOutliers(il.Times(), 2.5)))
 	}
-	return nil
 }
 
-// ReportFig5 prints the accumulated scheduling overhead of ILAN normalized
+// reportFig5 prints the accumulated scheduling overhead of ILAN normalized
 // to the baseline, the paper's Figure 5 (lower is better).
-func ReportFig5(w io.Writer, m *Matrix) error {
+func reportFig5(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Figure 5: accumulated scheduling overhead, normalized to baseline")
 	fmt.Fprintln(w, "(lower is better; paper: ILAN lower in 4 of 7, highest on Matmul)")
 	fmt.Fprintf(w, "%-8s %12s %16s %16s\n", "bench", "ratio", "baseline(ms)", "ilan(ms)")
 	for _, b := range m.Benches {
 		base, il := m.Cell(b, KindBaseline), m.Cell(b, KindILAN)
-		if base == nil || il == nil {
-			return fmt.Errorf("fig5: missing cells for %s", b)
-		}
 		fmt.Fprintf(w, "%-8s %12.3f %16.3f %16.3f\n",
 			b, m.OverheadRatio(b, KindILAN),
 			1e3*stats.Mean(base.Overheads()), 1e3*stats.Mean(il.Overheads()))
 	}
-	return nil
 }
 
-// ReportAffinity prints the §3.4 extension comparison: ILAN vs a runtime
-// that honours OpenMP affinity-clause hints (locality via programmer
-// annotation, no structured distribution, no interference awareness).
-func ReportAffinity(w io.Writer, m *Matrix) error {
-	fmt.Fprintln(w, "Extension (paper §3.4): ILAN vs OpenMP affinity-clause hints, speedup vs baseline")
-	fmt.Fprintln(w, "(affinity improves locality where hints exist but cannot mold or confine stealing)")
-	fmt.Fprintf(w, "%-8s %12s %12s\n", "bench", "ilan", "affinity")
-	for _, b := range m.Benches {
-		if m.Cell(b, KindAffinity) == nil || m.Cell(b, KindILAN) == nil {
-			return fmt.Errorf("affinity: missing cells for %s", b)
-		}
-		fmt.Fprintf(w, "%-8s %11.3fx %11.3fx\n",
-			b, m.Speedup(b, KindILAN), m.Speedup(b, KindAffinity))
-	}
-	return nil
-}
-
-// ReportCounters prints the counter-guided-selection extension (the
-// paper's future work): ILAN vs ILAN whose exploration is cut short by
-// measured memory intensity. The interesting rows are the compute-bound
-// benchmarks (Matmul), where skipping exploration recovers the slowdown.
-func ReportCounters(w io.Writer, m *Matrix) error {
-	fmt.Fprintln(w, "Extension (paper future work): counter-guided configuration selection")
-	fmt.Fprintln(w, "(compute-bound loops skip the thread-count search; speedup vs baseline)")
-	fmt.Fprintf(w, "%-8s %12s %16s\n", "bench", "ilan", "ilan-counters")
-	for _, b := range m.Benches {
-		if m.Cell(b, KindILANCounters) == nil || m.Cell(b, KindILAN) == nil {
-			return fmt.Errorf("counters: missing cells for %s", b)
-		}
-		fmt.Fprintf(w, "%-8s %11.3fx %15.3fx\n",
-			b, m.Speedup(b, KindILAN), m.Speedup(b, KindILANCounters))
-	}
-	return nil
-}
-
-// ReportRelated prints the related-work comparison: pure hierarchical
-// scheduling (shepherds, Olivier et al.) vs ILAN's adaptive hierarchy —
-// isolating what the PTT, moldability, and strictness add over structure
-// alone (the argument of the paper's §2.1 closing paragraph).
-func ReportRelated(w io.Writer, m *Matrix) error {
-	fmt.Fprintln(w, "Related work (paper §2.1): shepherd-style hierarchy vs ILAN, speedup vs baseline")
-	fmt.Fprintln(w, "(shepherds get the locality win; adaptivity on top is ILAN's contribution)")
-	fmt.Fprintf(w, "%-8s %12s %12s\n", "bench", "shepherd", "ilan")
-	for _, b := range m.Benches {
-		if m.Cell(b, KindShepherd) == nil || m.Cell(b, KindILAN) == nil {
-			return fmt.Errorf("related: missing cells for %s", b)
-		}
-		fmt.Fprintf(w, "%-8s %11.3fx %11.3fx\n",
-			b, m.Speedup(b, KindShepherd), m.Speedup(b, KindILAN))
-	}
-	return nil
-}
-
-// ReportFig6 prints ILAN and static work-sharing speedups vs the baseline,
+// reportFig6 prints ILAN and static work-sharing speedups vs the baseline,
 // the paper's Figure 6.
-func ReportFig6(w io.Writer, m *Matrix) error {
+func reportFig6(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Figure 6: ILAN and OpenMP work-sharing speedup vs tasking baseline")
 	fmt.Fprintln(w, "(paper: work-sharing wins FT; tasking wins CG decisively)")
 	fmt.Fprintf(w, "%-8s %12s %14s %12s %12s\n",
 		"bench", "ilan", "worksharing", "ilan CV", "ws CV")
 	for _, b := range m.Benches {
 		il, ws := m.Cell(b, KindILAN), m.Cell(b, KindWorkSharing)
-		if il == nil || ws == nil {
-			return fmt.Errorf("fig6: missing cells for %s", b)
-		}
 		fmt.Fprintf(w, "%-8s %11.3fx %13.3fx %11.2f%% %11.2f%%\n",
 			b, m.Speedup(b, KindILAN), m.Speedup(b, KindWorkSharing),
 			100*stats.CoefVar(il.Times()), 100*stats.CoefVar(ws.Times()))
 	}
-	return nil
+}
+
+// speedupColumns returns the report of an extension experiment: per
+// benchmark, one speedup-vs-baseline column for each kind in cols.
+func speedupColumns(title, note string, cols []Kind) func(io.Writer, *Matrix) {
+	width := func(k Kind) int { return max(12, len(k.String())+3) }
+	return func(w io.Writer, m *Matrix) {
+		fmt.Fprintln(w, title)
+		fmt.Fprintln(w, note)
+		fmt.Fprintf(w, "%-8s", "bench")
+		for _, k := range cols {
+			fmt.Fprintf(w, " %*s", width(k), k)
+		}
+		fmt.Fprintln(w)
+		for _, b := range m.Benches {
+			fmt.Fprintf(w, "%-8s", b)
+			for _, k := range cols {
+				fmt.Fprintf(w, " %*.3fx", width(k)-1, m.Speedup(b, k))
+			}
+			fmt.Fprintln(w)
+		}
+	}
 }

@@ -1,41 +1,18 @@
-// Package timeline renders an execution trace as an ASCII Gantt chart:
-// one row per core (or per NUMA node), time bucketed into columns, each
-// cell showing which taskloop occupied that core — making placement,
-// molding (idle node rows), and steal-induced migration visible at a
-// glance.
+// Package timeline renders an execution trace as an ASCII occupancy
+// chart: one row per NUMA node, time bucketed into columns, each cell
+// shaded by the fraction of the node's cores that were busy — making
+// placement and molding (idle node rows) visible at a glance.
 package timeline
 
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"github.com/ilan-sched/ilan/internal/taskrt"
 )
 
-// Options controls rendering.
-type Options struct {
-	// Width is the number of time buckets (default 100).
-	Width int
-	// ByNode collapses core rows into one row per NUMA node showing
-	// occupancy density instead of loop identity.
-	ByNode bool
-	// Cores is the number of cores on the machine (required).
-	Cores int
-	// Nodes is the number of NUMA nodes (required when ByNode).
-	Nodes int
-	// From/To bound the rendered time window; when both are zero the
-	// window spans the trace. Bounds outside the trace span are clamped
-	// to it; From >= To (with either non-zero) is an error, as is a
-	// window that lies entirely outside the trace.
-	From, To float64
-}
-
-// glyphFor maps loop IDs to stable glyphs.
-func glyphFor(loopID int) byte {
-	const glyphs = "abcdefghijklmnopqrstuvwxyz0123456789"
-	return glyphs[(loopID-1+len(glyphs))%len(glyphs)]
-}
+// width is the number of time buckets.
+const width = 100
 
 // densityGlyph maps occupancy in [0,1] to a shade.
 func densityGlyph(f float64) byte {
@@ -53,96 +30,25 @@ func densityGlyph(f float64) byte {
 	}
 }
 
-// Render writes the timeline of a trace.
-func Render(w io.Writer, tr *taskrt.Trace, opts Options) error {
+// Render writes the per-node occupancy timeline of a trace over its full
+// span, one row per NUMA node.
+func Render(w io.Writer, tr *taskrt.Trace, nodes int) error {
 	if tr == nil || len(tr.Tasks) == 0 {
 		return fmt.Errorf("timeline: empty trace")
 	}
-	if opts.Cores <= 0 {
-		return fmt.Errorf("timeline: Cores must be positive")
+	if nodes <= 0 {
+		return fmt.Errorf("timeline: nodes must be positive")
 	}
-	if opts.ByNode && opts.Nodes <= 0 {
-		return fmt.Errorf("timeline: Nodes must be positive with ByNode")
-	}
-	width := opts.Width
-	if width <= 0 {
-		width = 100
-	}
-	lo, hi := tr.Tasks[0].StartSec, tr.Tasks[0].EndSec
+	from, to := tr.Tasks[0].StartSec, tr.Tasks[0].EndSec
 	for _, ev := range tr.Tasks {
-		if ev.StartSec < lo {
-			lo = ev.StartSec
-		}
-		if ev.EndSec > hi {
-			hi = ev.EndSec
-		}
+		from = min(from, ev.StartSec)
+		to = max(to, ev.EndSec)
 	}
-	from, to := opts.From, opts.To
-	if from == 0 && to == 0 {
-		from, to = lo, hi
-	} else {
-		if from >= to {
-			return fmt.Errorf("timeline: empty time window [%g, %g)", from, to)
-		}
-		// Clamp a partially-overlapping window to the trace span instead
-		// of rendering an all-blank (or zero-width) chart; a window with
-		// no overlap at all is a caller error worth surfacing.
-		if to <= lo || from >= hi {
-			return fmt.Errorf("timeline: window [%g, %g) outside trace span [%g, %g)", from, to, lo, hi)
-		}
-		if from < lo {
-			from = lo
-		}
-		if to > hi {
-			to = hi
-		}
-	}
-	span := to - from
-	if span <= 0 {
+	if to <= from {
 		return fmt.Errorf("timeline: degenerate time window")
 	}
-	bucket := span / float64(width)
+	bucket := (to - from) / width
 
-	if opts.ByNode {
-		return renderByNode(w, tr, opts.Nodes, width, from, bucket)
-	}
-	return renderByCore(w, tr, opts.Cores, width, from, to, bucket)
-}
-
-func renderByCore(w io.Writer, tr *taskrt.Trace, cores, width int, from, to, bucket float64) error {
-	rows := make([][]byte, cores)
-	for i := range rows {
-		rows[i] = []byte(strings.Repeat(" ", width))
-	}
-	clip := func(b int) int {
-		if b < 0 {
-			return 0
-		}
-		if b >= width {
-			return width - 1
-		}
-		return b
-	}
-	for _, ev := range tr.Tasks {
-		if ev.Core < 0 || ev.Core >= cores || ev.EndSec < from || ev.StartSec > to {
-			continue
-		}
-		b0 := clip(int((ev.StartSec - from) / bucket))
-		b1 := clip(int((ev.EndSec - from) / bucket))
-		g := glyphFor(ev.LoopID)
-		for b := b0; b <= b1; b++ {
-			rows[ev.Core][b] = g
-		}
-	}
-	fmt.Fprintf(w, "timeline %.6fs .. %.6fs (%.2f us/col); glyph = loop id\n", from, from+float64(width)*bucket, bucket*1e6)
-	for c, row := range rows {
-		fmt.Fprintf(w, "core %3d |%s|\n", c, row)
-	}
-	legend(w, tr)
-	return nil
-}
-
-func renderByNode(w io.Writer, tr *taskrt.Trace, nodes, width int, from, bucket float64) error {
 	busy := make([][]float64, nodes)
 	coresPerNode := map[int]map[int]bool{}
 	for i := range busy {
@@ -154,11 +60,9 @@ func renderByNode(w io.Writer, tr *taskrt.Trace, nodes, width int, from, bucket 
 			continue
 		}
 		coresPerNode[ev.Node][ev.Core] = true
-		for b := 0; b < width; b++ {
+		for b := range width {
 			bs := from + float64(b)*bucket
-			be := bs + bucket
-			ov := overlap(ev.StartSec, ev.EndSec, bs, be)
-			if ov > 0 {
+			if ov := min(ev.EndSec, bs+bucket) - max(ev.StartSec, bs); ov > 0 {
 				busy[ev.Node][b] += ov
 			}
 		}
@@ -176,34 +80,4 @@ func renderByNode(w io.Writer, tr *taskrt.Trace, nodes, width int, from, bucket 
 		fmt.Fprintf(w, "node %2d |%s|\n", n, line)
 	}
 	return nil
-}
-
-func overlap(a0, a1, b0, b1 float64) float64 {
-	lo, hi := a0, a1
-	if b0 > lo {
-		lo = b0
-	}
-	if b1 < hi {
-		hi = b1
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
-func legend(w io.Writer, tr *taskrt.Trace) {
-	seen := map[int]string{}
-	order := []int{}
-	for _, ev := range tr.Tasks {
-		if _, ok := seen[ev.LoopID]; !ok {
-			seen[ev.LoopID] = ev.LoopName
-			order = append(order, ev.LoopID)
-		}
-	}
-	fmt.Fprint(w, "legend:")
-	for _, id := range order {
-		fmt.Fprintf(w, " %c=%s", glyphFor(id), seen[id])
-	}
-	fmt.Fprintln(w)
 }
