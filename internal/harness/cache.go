@@ -138,10 +138,11 @@ func (u *unit) key() string {
 // form that parses back exactly, and the results writer re-encodes through
 // the same marshaler, so a campaign assembled from cached units is
 // byte-identical to a cold run. A stored payload that no longer decodes
-// into this build's sample type is treated as corrupt: dropped and
+// into this build's sample type, or decodes into a sample valid rejects,
+// is treated as corrupt: dropped (counted as a cache error) and
 // recomputed. Put failures are swallowed (the cache is an accelerator,
 // never a correctness dependency); they show in the cache's error counter.
-func memo[T any](c *cellcache.Cache, key func() string, run func() (T, error)) (T, error) {
+func memo[T any](c *cellcache.Cache, key func() string, valid func(*T) bool, run func() (T, error)) (T, error) {
 	if c == nil {
 		return run()
 	}
@@ -151,7 +152,7 @@ func memo[T any](c *cellcache.Cache, key func() string, run func() (T, error)) (
 	}
 	if data, ok := c.Get(k); ok {
 		var s T
-		if err := json.Unmarshal(data, &s); err == nil {
+		if err := json.Unmarshal(data, &s); err == nil && valid(&s) {
 			return s, nil
 		}
 		c.Discard(k)

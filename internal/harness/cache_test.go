@@ -379,6 +379,94 @@ func TestRunOneCorruptEntryRecomputes(t *testing.T) {
 	}
 }
 
+// TestCacheRejectsInvalidSamples: a payload that decodes but could not
+// have come from its unit — no tasks, no programs, a missing or extra
+// observer — must be discarded, counted as a cache error and recomputed,
+// never served as a hit. The recompute recommits a valid entry, which the
+// next run serves.
+func TestCacheRejectsInvalidSamples(t *testing.T) {
+	cg, ft := mustBench(t, "CG"), mustBench(t, "FT")
+	corun := testConfig()
+	corun.Multi = &CoRun{Benches: []string{"CG", "FT"}}
+	with := func(set func(*Config)) Config {
+		cfg := testConfig()
+		set(&cfg)
+		return cfg
+	}
+	metrics := func(c *Config) { c.Metrics = true }
+	cases := []struct {
+		name    string
+		cfg     Config
+		rep     int
+		multi   bool
+		payload string
+	}{
+		{"solo empty", testConfig(), 0, false, `{}`},
+		{"solo no tasks", testConfig(), 0, false, `{"ElapsedSec":1,"Tasks":0}`},
+		{"solo zero elapsed", testConfig(), 0, false, `{"ElapsedSec":0,"Tasks":5}`},
+		{"solo negative elapsed", testConfig(), 0, false, `{"ElapsedSec":-1,"Tasks":5}`},
+		{"solo obs missing", with(metrics), 0, false, `{"ElapsedSec":1,"Tasks":5}`},
+		{"solo obs unexpected", testConfig(), 0, false, `{"ElapsedSec":1,"Tasks":5,"Obs":{"runs":1}}`},
+		{"solo attr missing", with(func(c *Config) { c.Attr = true }), 0, false, `{"ElapsedSec":1,"Tasks":5}`},
+		{"solo trace missing at rep 0", with(func(c *Config) { c.TraceTasks = true }), 0, false,
+			`{"ElapsedSec":1,"Tasks":5}`},
+		{"solo trace beyond rep 0", with(func(c *Config) { c.TraceTasks = true }), 1, false,
+			`{"ElapsedSec":1,"Tasks":5,"Trace":{}}`},
+		{"corun no programs", corun, 0, true, `{"Programs":[]}`},
+		{"corun one program for two benches", corun, 0, true, `{"ElapsedSec":1,"Programs":[{"Tasks":3}]}`},
+		{"corun program without tasks", corun, 0, true,
+			`{"ElapsedSec":1,"Programs":[{"Tasks":3},{"Tasks":0}]}`},
+		{"corun obs missing", func() Config { c := corun; c.Metrics = true; return c }(), 0, true,
+			`{"ElapsedSec":1,"Programs":[{"Tasks":3},{"Tasks":3}]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(cfg Config) string {
+				t.Helper()
+				var s any
+				var err error
+				if tc.multi {
+					s, err = RunMultiOne([]workloads.Benchmark{cg, ft}, KindILAN, cfg, tc.rep)
+				} else {
+					s, err = RunOne(cg, KindILAN, cfg, tc.rep)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := json.Marshal(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(data)
+			}
+			want := run(tc.cfg)
+
+			cfg := tc.cfg
+			cfg.Cache = openTestCache(t)
+			u := soloUnit(cg, KindILAN, cfg)
+			if tc.multi {
+				u = coRunUnit([]workloads.Benchmark{cg, ft}, KindILAN, cfg)
+			}
+			u.rep = tc.rep
+			if err := cfg.Cache.Put(u.key(), []byte(tc.payload)); err != nil {
+				t.Fatal(err)
+			}
+			if got := run(cfg); got != want {
+				t.Fatalf("served the invalid payload %s:\ngot  %.200s\nwant %.200s", tc.payload, got, want)
+			}
+			if st := cfg.Cache.Stats(); st.Errors != 1 {
+				t.Fatalf("stats = %+v, want the invalid payload counted as 1 error", st)
+			}
+			if got := run(cfg); got != want {
+				t.Fatal("recommitted entry differs from the computed sample")
+			}
+			if st := cfg.Cache.Stats(); st.Hits != 2 || st.Errors != 1 {
+				t.Fatalf("stats = %+v, want the recommitted entry served as a hit", st)
+			}
+		})
+	}
+}
+
 // TestRunCampaignCacheConcurrent exercises the cache under a parallel pool
 // (run with -race in CI): a cold 8-way campaign fills it, a warm 8-way
 // campaign must be all hits and sample-identical.

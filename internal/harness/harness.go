@@ -116,8 +116,8 @@ type Config struct {
 	CoreStreamBW float64
 	Alpha        *float64
 	Beta         *float64
-	// Metrics enables the observability layer: every run collects the
-	// internal/obs registry, and cells carry a merged Snapshot. Off by
+	// Metrics enables the observability layer: every run records into an
+	// internal/obs Run, and cells carry a merged Snapshot. Off by
 	// default — the disabled path is the PR 2 zero-allocation hot path.
 	Metrics bool
 	// TraceDecisions additionally records every ILAN configuration decision

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,38 +299,49 @@ func (t *Tracker) Snapshot() ProgressSnapshot {
 	return s
 }
 
-// MergedObs merges the observability snapshots of every repetition that
-// has completed so far. Counters and histograms are sums over completed
-// reps, so successive scrapes see monotonically non-decreasing counter
-// values; gauge averages may move as reps land (merge order follows
-// completion order, which under Jobs > 1 is not the deterministic rep
-// order — live metrics are a monitoring surface, not part of the
-// campaign's byte-determinism contract). Returns nil while no rep with
-// metrics has completed.
-func (t *Tracker) MergedObs() *obs.Snapshot {
+// Metrics returns everything the live monitor exports, as one snapshot:
+// the merged metrics and attribution series (AttrSnapshot.Metrics) of
+// every repetition completed so far, plus the ilan_campaign_* progress
+// and cache series. Counters and histograms are sums over completed reps,
+// so successive scrapes see monotonically non-decreasing counter values;
+// gauge averages may move as reps land (merge order follows completion
+// order, which under Jobs > 1 is not the deterministic rep order — live
+// metrics are a monitoring surface, not part of the campaign's
+// byte-determinism contract). Nil on a nil tracker.
+func (t *Tracker) Metrics() *obs.Snapshot {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	snaps := make([]*obs.Snapshot, len(t.snaps))
-	copy(snaps, t.snaps)
+	snaps, attrs := slices.Clone(t.snaps), slices.Clone(t.attrs)
 	t.mu.Unlock()
-	return obs.Merge(snaps)
-}
-
-// MergedAttr merges the attribution snapshots of every repetition that has
-// completed so far, under the same monitoring (not byte-determinism)
-// contract as MergedObs. Returns nil while no rep with attribution has
-// completed.
-func (t *Tracker) MergedAttr() *obs.AttrSnapshot {
-	if t == nil {
-		return nil
+	m := obs.Merge(snaps)
+	if m == nil {
+		m = &obs.Snapshot{}
 	}
-	t.mu.Lock()
-	attrs := make([]*obs.AttrSnapshot, len(t.attrs))
-	copy(attrs, t.attrs)
-	t.mu.Unlock()
-	return obs.MergeAttr(attrs)
+	if m.Counters == nil {
+		m.Counters = make(map[string]float64)
+	}
+	if m.Gauges == nil {
+		m.Gauges = make(map[string]float64)
+	}
+	if a := obs.MergeAttr(attrs).Metrics(); a != nil {
+		maps.Copy(m.Counters, a.Counters)
+		maps.Copy(m.Gauges, a.Gauges)
+	}
+	p := t.Snapshot()
+	m.Counters["ilan_campaign_units_total"] = float64(p.UnitsTotal)
+	m.Counters["ilan_campaign_units_done"] = float64(p.UnitsDone)
+	m.Counters["ilan_campaign_units_failed"] = float64(p.UnitsFailed)
+	m.Gauges["ilan_campaign_cells_total"] = float64(p.CellsTotal)
+	m.Gauges["ilan_campaign_cells_done"] = float64(p.CellsDone)
+	if c := p.Cache; c != nil {
+		m.Counters["ilan_campaign_cache_hits_total"] = float64(c.Hits)
+		m.Counters["ilan_campaign_cache_misses_total"] = float64(c.Misses)
+		m.Counters["ilan_campaign_cache_evictions_total"] = float64(c.Evictions)
+		m.Counters["ilan_campaign_cache_errors_total"] = float64(c.Errors)
+	}
+	return m
 }
 
 // ProgressEvent is one live campaign event for the SSE stream.

@@ -23,8 +23,8 @@ func TestTrackerNilSafe(t *testing.T) {
 	if s := tr.Snapshot(); s.UnitsTotal != 0 || s.ETASec != -1 {
 		t.Fatalf("nil tracker snapshot = %+v", s)
 	}
-	if tr.MergedObs() != nil {
-		t.Fatal("nil tracker returned a merged snapshot")
+	if tr.Metrics() != nil {
+		t.Fatal("nil tracker returned a metrics snapshot")
 	}
 	ch, cancel := tr.Subscribe()
 	cancel()
@@ -70,18 +70,25 @@ func TestTrackerSnapshotAndCells(t *testing.T) {
 func TestTrackerMergedObsMonotone(t *testing.T) {
 	mkSnap := func(v float64) *obs.Snapshot {
 		run := obs.NewRun(obs.Options{})
-		run.Scope("taskrt").Counter("steals_local_total").Add(v)
+		run.Add("taskrt_steals_local_total", v)
 		return run.Snapshot()
 	}
 	tr := NewTracker()
 	tr.Begin("c", []CellDecl{{Name: "a", Units: 3}})
-	if tr.MergedObs() != nil {
-		t.Fatal("merged snapshot before any rep")
+	if m := tr.Metrics(); m.Runs != 0 || m.Counters["ilan_campaign_units_total"] != 3 {
+		t.Fatalf("before any rep: runs = %d, units_total = %g; want 0 merged runs and the campaign series",
+			m.Runs, m.Counters["ilan_campaign_units_total"])
+	}
+	if _, ok := tr.Metrics().Counters["taskrt_steals_local_total"]; ok {
+		t.Fatal("merged rep counter before any rep")
 	}
 	prev := 0.0
 	for i, v := range []float64{3, 5, 7} {
 		tr.UnitDone(0, i, mkSnap(v), nil, nil)
-		m := tr.MergedObs()
+		m := tr.Metrics()
+		if m.Runs != i+1 || m.Counters["ilan_campaign_units_done"] != float64(i+1) {
+			t.Fatalf("after rep %d: runs = %d, units_done = %g", i, m.Runs, m.Counters["ilan_campaign_units_done"])
+		}
 		got := m.Counters["taskrt_steals_local_total"]
 		if got < prev {
 			t.Fatalf("merged counter regressed: %g -> %g", prev, got)
@@ -226,7 +233,7 @@ func TestTrackerLateUnitDoneDropped(t *testing.T) {
 	tr.Finish(fmt.Errorf("rep 1 panicked"))
 
 	run := obs.NewRun(obs.Options{})
-	run.Scope("taskrt").Counter("steals_local_total").Add(1)
+	run.Add("taskrt_steals_local_total", 1)
 	tr.UnitDone(0, 1, run.Snapshot(), nil, fmt.Errorf("late failure"))
 
 	s := tr.Snapshot()
@@ -240,8 +247,8 @@ func TestTrackerLateUnitDoneDropped(t *testing.T) {
 	if s.UnitsFailed != 1 {
 		t.Fatalf("units_failed = %d, want 1 (the late unit must not count)", s.UnitsFailed)
 	}
-	if tr.MergedObs() != nil {
-		t.Fatal("late snapshot merged into a finished campaign")
+	if m := tr.Metrics(); m.Runs != 0 || m.Counters["taskrt_steals_local_total"] != 0 {
+		t.Fatalf("late snapshot merged into a finished campaign: %+v", m)
 	}
 }
 

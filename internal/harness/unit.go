@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/ilan-sched/ilan/internal/ilan"
 	"github.com/ilan-sched/ilan/internal/machine"
@@ -113,7 +114,7 @@ func (u *unit) exec() (*obs.Snapshot, *obs.AttrSnapshot, error) {
 
 // runSolo memoizes a solo or fixed unit.
 func (u *unit) runSolo() (RunSample, error) {
-	return memo(u.cfg.Cache, u.key, func() (RunSample, error) {
+	return memo(u.cfg.Cache, u.key, u.validSolo, func() (RunSample, error) {
 		s, _, err := u.simulate()
 		return s, err
 	})
@@ -121,10 +122,40 @@ func (u *unit) runSolo() (RunSample, error) {
 
 // runCoRun memoizes a co-run unit.
 func (u *unit) runCoRun() (MultiSample, error) {
-	return memo(u.cfg.Cache, u.key, func() (MultiSample, error) {
+	return memo(u.cfg.Cache, u.key, u.validCoRun, func() (MultiSample, error) {
 		_, s, err := u.simulate()
 		return s, err
 	})
+}
+
+// validSolo reports whether a cached solo sample could have come from
+// this unit: it ran tasks for a finite, positive time, and it carries
+// exactly the observers the unit's config turns on. memo serves only
+// valid samples, so a degenerate payload (`{}`) is recomputed, not
+// served as an all-zero hit.
+func (u *unit) validSolo(s *RunSample) bool {
+	return s.Tasks > 0 && s.ElapsedSec > 0 && s.ElapsedSec <= math.MaxFloat64 &&
+		u.observed(s.Obs != nil, s.Attr != nil, s.Trace != nil)
+}
+
+// validCoRun is validSolo for a co-run sample: one program per benchmark,
+// each of which ran tasks. Co-run units never collect attribution.
+func (u *unit) validCoRun(s *MultiSample) bool {
+	if len(s.Programs) != len(u.benches) || !u.observed(s.Obs != nil, false, s.Trace != nil) {
+		return false
+	}
+	for _, p := range s.Programs {
+		if p.Tasks == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// observed reports whether a sample's observers match the ones simulate
+// attaches under the unit's config.
+func (u *unit) observed(hasObs, hasAttr, hasTrace bool) bool {
+	return hasObs == u.cfg.obsEnabled() && hasAttr == u.cfg.Attr && hasTrace == (u.cfg.TraceTasks && u.rep == 0)
 }
 
 // simulate runs the unit uncached on a fresh machine. Co-run units fill

@@ -524,7 +524,7 @@ func (s *Scheduler) Observe(rt *taskrt.Runtime, spec *taskrt.LoopSpec, st *taskr
 // obsObserve records the completed execution into the attached
 // observability collector: the full decision (loop, phase, chosen triple,
 // measured score, virtual completion time) into the trace ring, plus the
-// ilan-scope counters. Costs one nil check when observability is off.
+// ilan_* counters and gauge. Costs one nil check when observability is off.
 func (s *Scheduler) obsObserve(rt *taskrt.Runtime, spec *taskrt.LoopSpec, ls *loopState, plannedPhase Phase, score float64) {
 	run := rt.Obs()
 	if run == nil {
@@ -541,13 +541,12 @@ func (s *Scheduler) obsObserve(rt *taskrt.Runtime, spec *taskrt.LoopSpec, ls *lo
 		StealFull: ls.pending.StealFull,
 		Score:     score,
 	})
-	sc := run.Scope("ilan")
-	sc.Counter("decisions_total").Inc()
+	run.Add("ilan_decisions_total", 1)
 	if ls.k == 1 || ls.phase != ls.obsPhase {
-		sc.Counter("phase_transitions_total" + obs.Label("to", ls.phase.String())).Inc()
+		run.Add("ilan_phase_transitions_total"+obs.Label("to", ls.phase.String()), 1)
 	}
 	ls.obsPhase = ls.phase
-	sc.Gauge("chosen_threads" + obs.Label("loop", spec.ID)).Set(float64(ls.pending.Threads))
+	run.Set("ilan_chosen_threads"+obs.Label("loop", spec.ID), float64(ls.pending.Threads))
 }
 
 // ChosenConfig exposes the current configuration for a loop ID

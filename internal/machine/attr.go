@@ -35,27 +35,6 @@ import (
 //	interference  = (elapsed − compute0/speed) − tmSolo   (≥ 0 pointwise)
 //	residual      = elapsed − Σ above             (float closure, ~ulps)
 
-// TaskAttrSample is the attribution of one completed task. The machine
-// overwrites a single sample per completion; probes that want it must read
-// it synchronously from the completion callback (taskrt does).
-type TaskAttrSample struct {
-	Core            int
-	ElapsedSec      float64
-	IdealComputeSec float64
-	CoreSpeedSec    float64
-	IdealMemorySec  float64
-	LocalitySec     float64
-	InterferenceSec float64
-	ResidualSec     float64
-}
-
-// TermSum returns the sum of the decomposition terms; conservation holds
-// when it matches ElapsedSec within obs.AttrTolerance.
-func (s TaskAttrSample) TermSum() float64 {
-	return s.IdealComputeSec + s.CoreSpeedSec + s.IdealMemorySec +
-		s.LocalitySec + s.InterferenceSec + s.ResidualSec
-}
-
 // EnableAttr switches on per-task virtual-time attribution. Like
 // EnableObs it is idempotent, must be called before the first Exec, and is
 // output-neutral: attribution draws no randomness and schedules no events,
@@ -74,10 +53,12 @@ func (m *Machine) EnableAttr() {
 // AttrEnabled reports whether attribution accounting is on.
 func (m *Machine) AttrEnabled() bool { return m.attrOn }
 
-// LastTaskAttr returns the attribution of the most recently completed task.
-// Only meaningful while attribution is enabled and at least one task has
+// LastTaskAttr returns the attribution of the most recently completed task
+// (Tasks is 1). The machine overwrites it at every completion, so probes
+// read it synchronously from the completion callback (taskrt does). Only
+// meaningful while attribution is enabled and at least one task has
 // completed.
-func (m *Machine) LastTaskAttr() TaskAttrSample { return m.lastAttr }
+func (m *Machine) LastTaskAttr() obs.TaskAttr { return m.lastAttr }
 
 // attrResolve prices the two counterfactual memory times for a task whose
 // demand has just been resolved, storing them on the pooled task. Called
@@ -130,8 +111,8 @@ func (m *Machine) attrResolve(ft *fluidTask, jitter float64) {
 func (m *Machine) attrComplete(ft *fluidTask, elapsed float64) {
 	speed := m.coreSpeed[ft.core]
 	computeWall := ft.compute0 / speed
-	s := TaskAttrSample{
-		Core:            ft.core,
+	s := obs.TaskAttr{
+		Tasks:           1,
 		ElapsedSec:      elapsed,
 		IdealComputeSec: ft.compute0,
 		CoreSpeedSec:    computeWall - ft.compute0,
@@ -142,16 +123,7 @@ func (m *Machine) attrComplete(ft *fluidTask, elapsed float64) {
 	s.ResidualSec = elapsed - s.IdealComputeSec - s.CoreSpeedSec -
 		s.IdealMemorySec - s.LocalitySec - s.InterferenceSec
 	m.lastAttr = s
-
-	t := &m.attrTask
-	t.Tasks++
-	t.ElapsedSec += s.ElapsedSec
-	t.IdealComputeSec += s.IdealComputeSec
-	t.CoreSpeedSec += s.CoreSpeedSec
-	t.IdealMemorySec += s.IdealMemorySec
-	t.LocalitySec += s.LocalitySec
-	t.InterferenceSec += s.InterferenceSec
-	t.ResidualSec += s.ResidualSec
+	m.attrTask.Add(s)
 	m.attrInterf[ft.attrBneck] += s.InterferenceSec
 }
 

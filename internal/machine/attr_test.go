@@ -16,13 +16,13 @@ func TestAttrComputeOnlyTask(t *testing.T) {
 	m := quietMachine(t)
 	m.EnableAttr()
 	m.EnableAttr() // idempotent, like EnableObs
-	var a TaskAttrSample
+	var a obs.TaskAttr
 	m.Exec(0, 2.5, nil, func() { a = m.LastTaskAttr() })
 	if err := m.Engine().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if a.IdealComputeSec != 2.5 {
-		t.Fatalf("IdealComputeSec = %g, want 2.5", a.IdealComputeSec)
+	if a.Tasks != 1 || a.IdealComputeSec != 2.5 {
+		t.Fatalf("Tasks = %d, IdealComputeSec = %g; want one task of 2.5", a.Tasks, a.IdealComputeSec)
 	}
 	if a.CoreSpeedSec != 0 || a.IdealMemorySec != 0 || a.LocalitySec != 0 || a.InterferenceSec != 0 {
 		t.Fatalf("compute-only task has nonzero non-compute terms: %+v", a)
@@ -41,7 +41,7 @@ func TestAttrRemotePagesChargedToLocality(t *testing.T) {
 	m.EnableAttr()
 	r := m.Memory().NewRegion("a", 64*memsys.BlockSize)
 	r.PlaceOnNode(2) // cross-socket from core 0
-	var a TaskAttrSample
+	var a obs.TaskAttr
 	m.Exec(0, 0, []memsys.Access{{Region: r, Offset: 0, Bytes: 10 * memsys.BlockSize, Pattern: memsys.Stream}},
 		func() { a = m.LastTaskAttr() })
 	if err := m.Engine().Run(); err != nil {
@@ -70,7 +70,7 @@ func TestAttrContentionChargedToInterference(t *testing.T) {
 	m.EnableAttr()
 	r := m.Memory().NewRegion("a", 256*memsys.BlockSize)
 	r.PlaceOnNode(0)
-	var samples []TaskAttrSample
+	var samples []obs.TaskAttr
 	for c := 0; c < 4; c++ {
 		off := int64(c) * 64 * memsys.BlockSize
 		m.Exec(c, 0, []memsys.Access{{Region: r, Offset: off, Bytes: 20 * memsys.BlockSize, Pattern: memsys.Stream}},
@@ -131,7 +131,7 @@ func TestAttrConservationAllTermsNonzero(t *testing.T) {
 	m.EnableAttr()
 	r := m.Memory().NewRegion("a", 256*memsys.BlockSize)
 	r.PlaceOnNode(2) // cross-socket: locality term nonzero
-	var samples []TaskAttrSample
+	var samples []obs.TaskAttr
 	for c := 0; c < 4; c++ {
 		off := int64(c) * 64 * memsys.BlockSize
 		m.Exec(c, 1e-3, []memsys.Access{{Region: r, Offset: off, Bytes: 20 * memsys.BlockSize, Pattern: memsys.Stream}},
@@ -239,7 +239,7 @@ func TestMCUtilizationUsesRealizedBytes(t *testing.T) {
 	elapsed := m.Engine().Now().Seconds()
 
 	run := obs.NewRun(obs.Options{})
-	m.FillObs(run.Registry())
+	m.FillObs(run)
 	snap := run.Snapshot()
 	node0 := obs.Label("node", 0)
 	realized := snap.Counters["machine_mc_bytes_total"+node0]

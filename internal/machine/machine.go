@@ -149,7 +149,7 @@ type Machine struct {
 	attrOn     bool
 	attrTask   obs.TaskAttr
 	attrInterf []float64 // interference seconds by solo-bottleneck resource; last = port
-	lastAttr   TaskAttrSample
+	lastAttr   obs.TaskAttr
 }
 
 // loadSvc pairs the two per-resource aggregates the rate computation needs.

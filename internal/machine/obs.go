@@ -45,8 +45,8 @@ func (m *Machine) ControllerLoad(node int) float64 {
 	return m.ls[int(m.res.Controller(node))].load
 }
 
-// FillObs samples the machine's end-of-run state into the registry (pull,
-// not push: nothing here runs on the simulation hot path). Exported
+// FillObs samples the machine's end-of-run state into the run (pull, not
+// push: nothing here runs on the simulation hot path). Exported
 // metrics, per DESIGN.md §9:
 //
 //	machine_mc_bytes_total{node=N}         realized traffic on node N's controller
@@ -62,11 +62,10 @@ func (m *Machine) ControllerLoad(node int) float64 {
 //
 // Rates use the engine's current virtual time as elapsed; call after the
 // run has drained.
-func (m *Machine) FillObs(reg *obs.Registry) {
-	if reg == nil {
+func (m *Machine) FillObs(run *obs.Run) {
+	if run == nil {
 		return
 	}
-	sc := reg.Scope("machine")
 	elapsed := m.eng.Now().Seconds()
 	for r := 0; r < m.res.Count(); r++ {
 		id := memsys.ResourceID(r)
@@ -74,22 +73,22 @@ func (m *Machine) FillObs(reg *obs.Registry) {
 		realized := m.counters.RealizedBytes[r]
 		if m.res.IsController(id) {
 			node := obs.Label("node", r)
-			sc.Counter("mc_bytes_total" + node).Add(realized)
-			sc.Counter("mc_demand_bytes_total" + node).Add(demand)
+			run.Add("machine_mc_bytes_total"+node, realized)
+			run.Add("machine_mc_demand_bytes_total"+node, demand)
 			if elapsed > 0 {
 				// Utilization is physical: the traffic the fluid model
 				// actually drained (jitter-scaled), not the pre-jitter
 				// service demand — under nonzero jitter the two differ.
-				sc.Gauge("mc_utilization" + node).Set(realized / (elapsed * m.res.Bandwidth(id)))
+				run.Set("machine_mc_utilization"+node, realized/(elapsed*m.res.Bandwidth(id)))
 			}
 			if m.obsOn && elapsed > 0 {
 				m.obsAccumLoad(r)
-				sc.Gauge("mc_queue_depth" + node).Set(m.loadIntSec[r] / elapsed)
+				run.Set("machine_mc_queue_depth"+node, m.loadIntSec[r]/elapsed)
 			}
 		} else if demand > 0 || realized > 0 {
 			link := obs.Label("link", m.res.Name(id))
-			sc.Counter("link_bytes_total" + link).Add(realized)
-			sc.Counter("link_demand_bytes_total" + link).Add(demand)
+			run.Add("machine_link_bytes_total"+link, realized)
+			run.Add("machine_link_demand_bytes_total"+link, demand)
 		}
 	}
 	for ccd := 0; ccd < m.caches.NumCCDs(); ccd++ {
@@ -98,10 +97,10 @@ func (m *Machine) FillObs(reg *obs.Registry) {
 			continue
 		}
 		lbl := obs.Label("ccd", ccd)
-		sc.Counter("l3_hits_total" + lbl).Add(float64(hits))
-		sc.Counter("l3_misses_total" + lbl).Add(float64(misses))
+		run.Add("machine_l3_hits_total"+lbl, float64(hits))
+		run.Add("machine_l3_misses_total"+lbl, float64(misses))
 	}
-	sc.Counter("tasks_total").Add(float64(m.counters.Tasks))
-	sc.Counter("compute_seconds_total").Add(m.counters.ComputeSeconds)
-	sc.Counter("memory_seconds_total").Add(m.counters.MemorySeconds)
+	run.Add("machine_tasks_total", float64(m.counters.Tasks))
+	run.Add("machine_compute_seconds_total", m.counters.ComputeSeconds)
+	run.Add("machine_memory_seconds_total", m.counters.MemorySeconds)
 }

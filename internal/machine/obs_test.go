@@ -30,7 +30,7 @@ func TestFillObsExportsMachineCounters(t *testing.T) {
 	}
 
 	run := obs.NewRun(obs.Options{})
-	m.FillObs(run.Registry())
+	m.FillObs(run)
 	snap := run.Snapshot()
 
 	node0 := obs.Label("node", 0)
@@ -83,7 +83,7 @@ func TestFillObsNilRegistryAndDisturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := obs.NewRun(obs.Options{})
-	m.FillObs(run.Registry())
+	m.FillObs(run)
 	snap := run.Snapshot()
 	node0 := obs.Label("node", 0)
 	if qd := snap.Gauges["machine_mc_queue_depth"+node0]; qd <= 0 {

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"sort"
 )
 
 // TaskAttr decomposes the virtual wall time of a set of task executions.
@@ -38,6 +36,19 @@ type TaskAttr struct {
 func (t TaskAttr) TermSum() float64 {
 	return t.IdealComputeSec + t.CoreSpeedSec + t.IdealMemorySec +
 		t.LocalitySec + t.InterferenceSec + t.ResidualSec
+}
+
+// Add folds o into t, field by field: the one place task terms are
+// summed, for a run's totals and for merged reports alike.
+func (t *TaskAttr) Add(o TaskAttr) {
+	t.Tasks += o.Tasks
+	t.ElapsedSec += o.ElapsedSec
+	t.IdealComputeSec += o.IdealComputeSec
+	t.CoreSpeedSec += o.CoreSpeedSec
+	t.IdealMemorySec += o.IdealMemorySec
+	t.LocalitySec += o.LocalitySec
+	t.InterferenceSec += o.InterferenceSec
+	t.ResidualSec += o.ResidualSec
 }
 
 // LoopAttr decomposes a loop's makespan over its active threads into
@@ -74,6 +85,20 @@ func (l LoopAttr) TermSum() float64 {
 		l.BarrierSec + l.ResidualSec
 }
 
+// Add folds o into l, field by field: the one place loop terms are summed.
+func (l *LoopAttr) Add(o LoopAttr) {
+	l.Executions += o.Executions
+	l.MakespanSec += o.MakespanSec
+	l.CoreSec += o.CoreSec
+	l.SelectSec += o.SelectSec
+	l.TaskSec += o.TaskSec
+	l.StealSec += o.StealSec
+	l.ImbalanceSec += o.ImbalanceSec
+	l.BarrierSec += o.BarrierSec
+	l.QueueWaitSec += o.QueueWaitSec
+	l.ResidualSec += o.ResidualSec
+}
+
 // AttrSnapshot is the attribution report of one run (or several merged
 // runs). Like Snapshot, its JSON form is byte-deterministic for identical
 // contents, and MergeAttr folds per-rep snapshots in input order so the
@@ -104,30 +129,14 @@ func MergeAttr(snaps []*AttrSnapshot) *AttrSnapshot {
 			out = &AttrSnapshot{}
 		}
 		out.Runs += s.Runs
-		out.Task.Tasks += s.Task.Tasks
-		out.Task.ElapsedSec += s.Task.ElapsedSec
-		out.Task.IdealComputeSec += s.Task.IdealComputeSec
-		out.Task.CoreSpeedSec += s.Task.CoreSpeedSec
-		out.Task.IdealMemorySec += s.Task.IdealMemorySec
-		out.Task.LocalitySec += s.Task.LocalitySec
-		out.Task.InterferenceSec += s.Task.InterferenceSec
-		out.Task.ResidualSec += s.Task.ResidualSec
-		for _, name := range sortedLoopKeys(s.Loops) {
+		out.Task.Add(s.Task)
+		for _, name := range sortedKeys(s.Loops) {
 			if out.Loops == nil {
 				out.Loops = make(map[string]LoopAttr)
 			}
-			a, b := out.Loops[name], s.Loops[name]
-			a.Executions += b.Executions
-			a.MakespanSec += b.MakespanSec
-			a.CoreSec += b.CoreSec
-			a.SelectSec += b.SelectSec
-			a.TaskSec += b.TaskSec
-			a.StealSec += b.StealSec
-			a.ImbalanceSec += b.ImbalanceSec
-			a.BarrierSec += b.BarrierSec
-			a.QueueWaitSec += b.QueueWaitSec
-			a.ResidualSec += b.ResidualSec
-			out.Loops[name] = a
+			l := out.Loops[name]
+			l.Add(s.Loops[name])
+			out.Loops[name] = l
 		}
 		for _, name := range sortedKeys(s.Interference) {
 			if out.Interference == nil {
@@ -137,15 +146,6 @@ func MergeAttr(snaps []*AttrSnapshot) *AttrSnapshot {
 		}
 	}
 	return out
-}
-
-func sortedLoopKeys(m map[string]LoopAttr) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // AttrTolerance returns the conservation tolerance for a decomposition at
@@ -168,7 +168,7 @@ func (s *AttrSnapshot) CheckConservation() error {
 		return fmt.Errorf("obs: task attribution terms sum to %.12g, elapsed %.12g (gap %.3g)",
 			s.Task.TermSum(), s.Task.ElapsedSec, d)
 	}
-	for _, name := range sortedLoopKeys(s.Loops) {
+	for _, name := range sortedKeys(s.Loops) {
 		l := s.Loops[name]
 		if d := l.TermSum() - l.CoreSec; math.Abs(d) > AttrTolerance(l.CoreSec) {
 			return fmt.Errorf("obs: loop %q attribution terms sum to %.12g core-seconds, measured %.12g (gap %.3g)",
@@ -178,75 +178,37 @@ func (s *AttrSnapshot) CheckConservation() error {
 	return nil
 }
 
-// WritePrometheus renders the attribution snapshot in the Prometheus text
-// exposition format as `ilan_attr_*_seconds_total` families. The terms are
-// emitted as gauges because two of them (core-speed, locality) are signed.
-func (s *AttrSnapshot) WritePrometheus(w io.Writer) error {
+// Metrics returns the report's Prometheus series as a Snapshot, for
+// Snapshot.WritePrometheus: every term as an `ilan_attr_*_seconds_total`
+// gauge, because two of them (core-speed, locality) are signed, and the
+// task count as the ilan_attr_tasks_total counter. Nil on a nil report.
+func (s *AttrSnapshot) Metrics() *Snapshot {
 	if s == nil {
 		return nil
 	}
-	emit := func(name string, v float64) error {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", baseName(name), name, v); err != nil {
-			return err
-		}
-		return nil
+	t := s.Task
+	g := map[string]float64{
+		"ilan_attr_task_elapsed_seconds_total":       t.ElapsedSec,
+		"ilan_attr_task_ideal_compute_seconds_total": t.IdealComputeSec,
+		"ilan_attr_task_core_speed_seconds_total":    t.CoreSpeedSec,
+		"ilan_attr_task_ideal_memory_seconds_total":  t.IdealMemorySec,
+		"ilan_attr_task_locality_seconds_total":      t.LocalitySec,
+		"ilan_attr_task_interference_seconds_total":  t.InterferenceSec,
+		"ilan_attr_task_residual_seconds_total":      t.ResidualSec,
 	}
-	taskTerms := []struct {
-		name string
-		v    float64
-	}{
-		{"ilan_attr_task_elapsed_seconds_total", s.Task.ElapsedSec},
-		{"ilan_attr_task_ideal_compute_seconds_total", s.Task.IdealComputeSec},
-		{"ilan_attr_task_core_speed_seconds_total", s.Task.CoreSpeedSec},
-		{"ilan_attr_task_ideal_memory_seconds_total", s.Task.IdealMemorySec},
-		{"ilan_attr_task_locality_seconds_total", s.Task.LocalitySec},
-		{"ilan_attr_task_interference_seconds_total", s.Task.InterferenceSec},
-		{"ilan_attr_task_residual_seconds_total", s.Task.ResidualSec},
+	for name, v := range s.Interference {
+		g["ilan_attr_interference_seconds_total"+Label("resource", name)] = v
 	}
-	for _, t := range taskTerms {
-		if err := emit(t.name, t.v); err != nil {
-			return err
-		}
+	for name, l := range s.Loops {
+		lbl := Label("loop", name)
+		g["ilan_attr_loop_core_seconds_total"+lbl] = l.CoreSec
+		g["ilan_attr_loop_select_seconds_total"+lbl] = l.SelectSec
+		g["ilan_attr_loop_task_seconds_total"+lbl] = l.TaskSec
+		g["ilan_attr_loop_steal_seconds_total"+lbl] = l.StealSec
+		g["ilan_attr_loop_imbalance_seconds_total"+lbl] = l.ImbalanceSec
+		g["ilan_attr_loop_barrier_seconds_total"+lbl] = l.BarrierSec
+		g["ilan_attr_loop_queue_wait_seconds_total"+lbl] = l.QueueWaitSec
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE ilan_attr_tasks_total counter\nilan_attr_tasks_total %d\n", s.Task.Tasks); err != nil {
-		return err
-	}
-	if len(s.Interference) > 0 {
-		if _, err := fmt.Fprintf(w, "# TYPE ilan_attr_interference_seconds_total gauge\n"); err != nil {
-			return err
-		}
-		for _, name := range sortedKeys(s.Interference) {
-			if _, err := fmt.Fprintf(w, "ilan_attr_interference_seconds_total{resource=%q} %g\n",
-				name, s.Interference[name]); err != nil {
-				return err
-			}
-		}
-	}
-	loopFams := []struct {
-		fam  string
-		term func(LoopAttr) float64
-	}{
-		{"ilan_attr_loop_core_seconds_total", func(l LoopAttr) float64 { return l.CoreSec }},
-		{"ilan_attr_loop_select_seconds_total", func(l LoopAttr) float64 { return l.SelectSec }},
-		{"ilan_attr_loop_task_seconds_total", func(l LoopAttr) float64 { return l.TaskSec }},
-		{"ilan_attr_loop_steal_seconds_total", func(l LoopAttr) float64 { return l.StealSec }},
-		{"ilan_attr_loop_imbalance_seconds_total", func(l LoopAttr) float64 { return l.ImbalanceSec }},
-		{"ilan_attr_loop_barrier_seconds_total", func(l LoopAttr) float64 { return l.BarrierSec }},
-		{"ilan_attr_loop_queue_wait_seconds_total", func(l LoopAttr) float64 { return l.QueueWaitSec }},
-	}
-	names := sortedLoopKeys(s.Loops)
-	for _, f := range loopFams {
-		if len(names) == 0 {
-			break
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", f.fam); err != nil {
-			return err
-		}
-		for _, name := range names {
-			if _, err := fmt.Fprintf(w, "%s{loop=%q} %g\n", f.fam, name, f.term(s.Loops[name])); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return &Snapshot{Runs: s.Runs, Gauges: g,
+		Counters: map[string]float64{"ilan_attr_tasks_total": float64(t.Tasks)}}
 }

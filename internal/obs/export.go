@@ -31,37 +31,6 @@ type Snapshot struct {
 	Profile map[string]float64 `json:"profile,omitempty"`
 }
 
-// Snapshot exports the run's current state. Nil-safe: a disabled run
-// snapshots to nil.
-func (r *Run) Snapshot() *Snapshot {
-	if r == nil {
-		return nil
-	}
-	s := &Snapshot{Runs: 1}
-	if len(r.reg.counters) > 0 {
-		s.Counters = make(map[string]float64, len(r.reg.counters))
-		for name, c := range r.reg.counters {
-			s.Counters[name] = c.v
-		}
-	}
-	if len(r.reg.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.reg.gauges))
-		for name, g := range r.reg.gauges {
-			s.Gauges[name] = g.v
-		}
-	}
-	if len(r.reg.histograms) > 0 {
-		s.Histograms = make(map[string]HistSnapshot, len(r.reg.histograms))
-		for name, h := range r.reg.histograms {
-			s.Histograms[name] = h.snapshot()
-		}
-	}
-	s.Decisions = r.ring.Decisions()
-	s.DecisionsTotal = r.ring.Total()
-	s.Profile = r.prof.fold()
-	return s
-}
-
 // Merge combines per-run snapshots (in order) into one aggregate: counters,
 // histograms, and profile weights are summed; gauges are averaged over the
 // runs that reported them; decision traces are concatenated. Nil snapshots
@@ -92,7 +61,7 @@ func Merge(snaps []*Snapshot) *Snapshot {
 			out.Gauges[name] += s.Gauges[name] // sum now, divide by per-gauge runs below
 			gaugeRuns[name] += s.Runs
 		}
-		for _, name := range sortedHistKeys(s.Histograms) {
+		for _, name := range sortedKeys(s.Histograms) {
 			if out.Histograms == nil {
 				out.Histograms = make(map[string]HistSnapshot)
 			}
@@ -117,16 +86,7 @@ func Merge(snaps []*Snapshot) *Snapshot {
 
 // sortedKeys returns a map's keys in sorted order so float accumulation
 // order (and thus the merged bits) never depends on map iteration.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedHistKeys(m map[string]HistSnapshot) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -137,12 +97,7 @@ func sortedHistKeys(m map[string]HistSnapshot) []string {
 
 func mergeHist(a, b HistSnapshot) HistSnapshot {
 	if a.Counts == nil {
-		return HistSnapshot{
-			Bounds: append([]float64(nil), b.Bounds...),
-			Counts: append([]uint64(nil), b.Counts...),
-			Sum:    b.Sum,
-			Count:  b.Count,
-		}
+		return b.clone()
 	}
 	if len(a.Counts) != len(b.Counts) {
 		// Bucket layouts diverged (should not happen for same-named
@@ -176,22 +131,24 @@ func baseName(name string) string {
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format: families sorted by name, one `# TYPE` line per family.
+// format, one `# TYPE` line per family: the counter and gauge families
+// sorted by name, then the histogram families sorted by name. It is the
+// one Prometheus writer: obsdump -format prom and the live monitor's
+// /metrics both print through it.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
 	type sample struct {
-		name string
-		kind Kind
-		v    float64
+		name, kind string
+		v          float64
 	}
 	var samples []sample
 	for name, v := range s.Counters {
-		samples = append(samples, sample{name, KindCounter, v})
+		samples = append(samples, sample{name, "counter", v})
 	}
 	for name, v := range s.Gauges {
-		samples = append(samples, sample{name, KindGauge, v})
+		samples = append(samples, sample{name, "gauge", v})
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i].name < samples[j].name })
 	lastFamily := ""
@@ -206,7 +163,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	for _, name := range sortedHistKeys(s.Histograms) {
+	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		fam := baseName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", fam); err != nil {
@@ -238,12 +195,7 @@ func (s *Snapshot) WriteFolded(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(s.Profile))
-	for k := range s.Profile {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(s.Profile) {
 		us := int64(math.Round(s.Profile[k] * 1e6))
 		if us < 1 {
 			us = 1

@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer of the reproduction: a
 // pluggable, near-zero-overhead subsystem the simulator stack reports into
-// — typed counter/gauge/histogram registries with per-component
-// namespaces, a structured ring buffer of ILAN configuration decisions,
-// and a virtual-time profile aggregated as folded stacks.
+// — named counters, gauges and histograms, a structured ring buffer of
+// ILAN configuration decisions, and a virtual-time profile aggregated as
+// folded stacks.
 //
 // The design follows the overhead contract of DESIGN.md §9:
 //
@@ -12,10 +12,9 @@
 //     simulator maintains anyway, at end of run, instead of being pushed
 //     per event. The only always-on additions are plain integer
 //     increments.
-//   - Every handle type (Registry, Scope, Counter, Gauge, Histogram, Ring,
-//     Profile, Run) is nil-safe: calling any method on a nil receiver is a
-//     no-op or zero value, so instrumentation sites need no flag checks
-//     and the disabled path costs one predictable nil-test branch.
+//   - A nil *Run is the disabled layer: Add, Set, Observe and the Ring and
+//     Profile methods are no-ops on nil receivers, so the disabled path
+//     costs one predictable nil-test branch.
 //   - One Run belongs to one simulated run on one goroutine (the same
 //     single-threaded contract as sim.Engine), so no locks are taken;
 //     cross-run aggregation happens on immutable Snapshots.
@@ -28,111 +27,138 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Kind is the metric type, which exporters use for TYPE annotations.
-type Kind uint8
+// DefaultRingCap is the decision-ring capacity used when the caller does
+// not size it. A full ILAN campaign records one decision per taskloop
+// execution; 4096 holds every decision of the paper-scale benchmarks.
+const DefaultRingCap = 4096
 
-// Metric kinds.
-const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram
-)
+// Run is one simulated run's collector. Add, Set and Observe record
+// straight into the counter, gauge and histogram maps of the Snapshot the
+// run exports; the decision ring and the virtual-time profile are
+// optional. A nil *Run is the disabled observability layer: every method
+// is nil-safe, so `rt.Obs().Decisions().Record(...)` costs two nil checks
+// when observability is off.
+type Run struct {
+	m    Snapshot // Counters, Gauges and Histograms only
+	ring *Ring
+	prof *Profile
+}
 
-// String names the kind in Prometheus vocabulary.
-func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+// Options configures a Run.
+type Options struct {
+	// TraceDecisions enables the decision ring buffer.
+	TraceDecisions bool
+	// RingCap sizes the ring (0 selects DefaultRingCap).
+	RingCap int
+}
+
+// NewRun builds an enabled collector.
+func NewRun(o Options) *Run {
+	r := &Run{prof: NewProfile()}
+	if o.TraceDecisions {
+		capacity := o.RingCap
+		if capacity == 0 {
+			capacity = DefaultRingCap
+		}
+		r.ring = NewRing(capacity)
 	}
+	return r
 }
 
-// Counter is a monotonically increasing metric. The zero value is usable;
-// a nil Counter discards all updates.
-type Counter struct {
-	v float64
-}
-
-// Add increases the counter. Negative deltas panic: a counter that can
-// decrease is a gauge, and silently accepting one would corrupt merges.
-func (c *Counter) Add(d float64) {
-	if c == nil {
+// Add increases the named counter by v. Negative deltas panic: a counter
+// that can decrease is a gauge, and silently accepting one would corrupt
+// merges.
+func (r *Run) Add(name string, v float64) {
+	if r == nil {
 		return
 	}
-	if d < 0 {
-		panic(fmt.Sprintf("obs: counter decreased by %g", d))
+	if v < 0 {
+		panic(fmt.Sprintf("obs: counter %s decreased by %g", name, v))
 	}
-	c.v += d
+	if r.m.Counters == nil {
+		r.m.Counters = make(map[string]float64)
+	}
+	r.m.Counters[name] += v
 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
+// Set stores the named gauge's current value.
+func (r *Run) Set(name string, v float64) {
+	if r == nil {
 		return
 	}
-	c.v++
-}
-
-// Value returns the accumulated count (0 on nil).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
+	if r.m.Gauges == nil {
+		r.m.Gauges = make(map[string]float64)
 	}
-	return c.v
+	r.m.Gauges[name] = v
 }
 
-// Gauge is a point-in-time measurement. A nil Gauge discards updates.
-type Gauge struct {
-	v float64
-}
-
-// Set stores the current value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
+// Observe records one sample into the named fixed-bucket histogram.
+// bounds are upper bucket edges in ascending order; observations above
+// the last bound land in the implicit +Inf bucket. The first Observe of a
+// name fixes its bounds; later calls' bounds are ignored.
+func (r *Run) Observe(name string, bounds []float64, v float64) {
+	if r == nil {
 		return
 	}
-	g.v = v
-}
-
-// Value returns the last value set (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
+	h, ok := r.m.Histograms[name]
+	if !ok {
+		if r.m.Histograms == nil {
+			r.m.Histograms = make(map[string]HistSnapshot)
+		}
+		h = HistSnapshot{Bounds: slices.Clone(bounds), Counts: make([]uint64, len(bounds)+1)}
 	}
-	return g.v
+	h.Counts[sort.SearchFloat64s(h.Bounds, v)]++
+	h.Sum += v
+	h.Count++
+	r.m.Histograms[name] = h
 }
 
-// Histogram is a fixed-bucket distribution. Bounds are upper bucket edges
-// in ascending order; observations above the last bound land in the
-// implicit +Inf bucket. A nil Histogram discards observations.
-type Histogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1; last = +Inf bucket
-	sum    float64
-	n      uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
+// Snapshot exports a copy of the run's current state: recording after
+// the call does not change the returned snapshot. A disabled run
+// snapshots to nil.
+func (r *Run) Snapshot() *Snapshot {
+	if r == nil {
+		return nil
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
+	s := &Snapshot{
+		Runs:           1,
+		Counters:       maps.Clone(r.m.Counters),
+		Gauges:         maps.Clone(r.m.Gauges),
+		Histograms:     maps.Clone(r.m.Histograms),
+		Decisions:      r.ring.Decisions(),
+		DecisionsTotal: r.ring.Total(),
+		Profile:        r.prof.fold(),
+	}
+	for name, h := range s.Histograms {
+		s.Histograms[name] = h.clone()
+	}
+	return s
 }
 
-// HistSnapshot is an immutable histogram state for export and merging.
+// Decisions returns the decision ring (nil when disabled or not traced).
+func (r *Run) Decisions() *Ring {
+	if r == nil {
+		return nil
+	}
+	return r.ring
+}
+
+// Profile returns the virtual-time profile (nil when disabled).
+func (r *Run) Profile() *Profile {
+	if r == nil {
+		return nil
+	}
+	return r.prof
+}
+
+// HistSnapshot is a fixed-bucket histogram's state for export and
+// merging.
 type HistSnapshot struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []uint64  `json:"counts"` // len(Bounds)+1; last bucket is +Inf
@@ -140,13 +166,11 @@ type HistSnapshot struct {
 	Count  uint64    `json:"count"`
 }
 
-func (h *Histogram) snapshot() HistSnapshot {
-	return HistSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Sum:    h.sum,
-		Count:  h.n,
-	}
+// clone returns a copy that shares no backing array with h.
+func (h HistSnapshot) clone() HistSnapshot {
+	h.Bounds = slices.Clone(h.Bounds)
+	h.Counts = slices.Clone(h.Counts)
+	return h
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the recorded
@@ -206,110 +230,6 @@ func ExpBuckets(lo, factor float64, n int) []float64 {
 		v *= factor
 	}
 	return out
-}
-
-// Registry holds one run's metrics. Construct with NewRegistry; a nil
-// *Registry is the disabled implementation — every lookup returns a nil
-// handle whose methods are no-ops, so instrumented code never branches on
-// an "enabled" flag itself.
-type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-}
-
-// NewRegistry returns an empty enabled registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
-
-// Counter returns (creating on first use) the named counter, or nil on a
-// nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating on first use) the named gauge, or nil.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns (creating on first use) the named histogram with the
-// given bucket bounds, or nil. Re-registering an existing histogram keeps
-// its original bounds.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]uint64, len(bounds)+1),
-		}
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Scope is a registry view that prefixes every metric name with a
-// component namespace ("engine", "machine", "taskrt", "ilan", ...). A nil
-// Scope (from a nil registry) hands out nil handles.
-type Scope struct {
-	reg    *Registry
-	prefix string
-}
-
-// Scope returns a namespaced view of the registry. Nil-safe.
-func (r *Registry) Scope(component string) *Scope {
-	if r == nil {
-		return nil
-	}
-	return &Scope{reg: r, prefix: component + "_"}
-}
-
-// Counter returns the namespaced counter, or nil.
-func (s *Scope) Counter(name string) *Counter {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Counter(s.prefix + name)
-}
-
-// Gauge returns the namespaced gauge, or nil.
-func (s *Scope) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Gauge(s.prefix + name)
-}
-
-// Histogram returns the namespaced histogram, or nil.
-func (s *Scope) Histogram(name string, bounds []float64) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Histogram(s.prefix+name, bounds)
 }
 
 // Label renders one `{key="value"}` metric-name suffix. Values are

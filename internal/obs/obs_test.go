@@ -6,26 +6,21 @@ import (
 	"testing"
 )
 
-// TestNilSafety drives every handle method through nil receivers: the
+// TestNilSafety drives every recording method through a nil *Run: the
 // disabled layer must be a silent no-op end to end.
 func TestNilSafety(t *testing.T) {
 	var run *Run
-	run.Scope("engine").Counter("x_total").Inc()
-	run.Scope("engine").Counter("x_total").Add(3)
-	run.Scope("machine").Gauge("g").Set(4)
-	run.Scope("taskrt").Histogram("h", []float64{1, 2}).Observe(1.5)
+	run.Add("engine_x_total", 1)
+	run.Add("engine_x_total", 3)
+	run.Set("machine_g", 4)
+	run.Observe("taskrt_h", []float64{1, 2}, 1.5)
 	run.Decisions().Record(Decision{LoopID: 1})
 	run.Profile().Add("a", "b", 1)
 	if run.Snapshot() != nil {
 		t.Fatal("disabled run produced a snapshot")
 	}
-	if run.Registry() != nil || run.Decisions() != nil || run.Profile() != nil {
+	if run.Decisions() != nil || run.Profile() != nil {
 		t.Fatal("disabled run exposed live components")
-	}
-	var reg *Registry
-	if reg.Counter("c") != nil || reg.Gauge("g") != nil ||
-		reg.Histogram("h", nil) != nil || reg.Scope("s") != nil {
-		t.Fatal("nil registry handed out live handles")
 	}
 	if got := run.Decisions().Total(); got != 0 {
 		t.Fatalf("nil ring total = %d", got)
@@ -33,36 +28,65 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
-	r := NewRegistry()
-	c := r.Scope("engine").Counter("events_fired_total")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %g, want 5", c.Value())
+	run := NewRun(Options{})
+	if s := run.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
+		t.Fatalf("empty run snapshot has metric maps: %+v", s)
 	}
-	if r.Counter("engine_events_fired_total") != c {
-		t.Fatal("scoped counter not shared with the full-name lookup")
-	}
-	g := r.Gauge("util")
-	g.Set(0.25)
-	g.Set(0.5)
-	if g.Value() != 0.5 {
-		t.Fatalf("gauge = %g, want last-set 0.5", g.Value())
-	}
-	h := r.Histogram("lat", []float64{1, 10})
+	run.Add("engine_events_fired_total", 1)
+	run.Add("engine_events_fired_total", 4)
+	run.Set("util", 0.25)
+	run.Set("util", 0.5)
 	for _, v := range []float64{0.5, 1, 5, 100} {
-		h.Observe(v)
+		run.Observe("lat", []float64{1, 10}, v)
 	}
-	snap := h.snapshot()
-	// SearchFloat64s puts v == bound into the bucket above it.
-	want := []uint64{2, 1, 1}
-	for i, c := range snap.Counts {
+	// A later Observe's bounds are ignored: the first call's stay.
+	run.Observe("lat", []float64{1000}, 2000)
+	s := run.Snapshot()
+	if got := s.Counters["engine_events_fired_total"]; got != 5 {
+		t.Fatalf("counter = %g, want 5", got)
+	}
+	if got := s.Gauges["util"]; got != 0.5 {
+		t.Fatalf("gauge = %g, want last-set 0.5", got)
+	}
+	h := s.Histograms["lat"]
+	if len(h.Bounds) != 2 || h.Bounds[1] != 10 {
+		t.Fatalf("bounds = %v, want the first call's [1 10]", h.Bounds)
+	}
+	// A sample equal to a bound lands in that bound's bucket (le
+	// semantics); 2000 lands in +Inf.
+	want := []uint64{2, 1, 2}
+	for i, c := range h.Counts {
 		if c != want[i] {
 			t.Fatalf("bucket %d = %d, want %d", i, c, want[i])
 		}
 	}
-	if snap.Count != 4 || snap.Sum != 106.5 {
-		t.Fatalf("count/sum = %d/%g", snap.Count, snap.Sum)
+	if h.Count != 5 || h.Sum != 2106.5 {
+		t.Fatalf("count/sum = %d/%g", h.Count, h.Sum)
+	}
+}
+
+// TestSnapshotIsACopy: recording after Snapshot must not reach back into
+// the snapshot already taken — it is exported and merged as immutable.
+func TestSnapshotIsACopy(t *testing.T) {
+	bounds := []float64{1, 2}
+	run := NewRun(Options{})
+	run.Add("c_total", 1)
+	run.Set("g", 1)
+	run.Observe("h", bounds, 0.5)
+	s := run.Snapshot()
+	run.Add("c_total", 1)
+	run.Add("new_total", 1)
+	run.Set("g", 2)
+	run.Observe("h", bounds, 0.5)
+	bounds[0] = 99
+	if s.Counters["c_total"] != 1 || len(s.Counters) != 1 || s.Gauges["g"] != 1 {
+		t.Fatalf("snapshot counters/gauges moved: %v %v", s.Counters, s.Gauges)
+	}
+	if h := s.Histograms["h"]; h.Count != 1 || h.Counts[0] != 1 || h.Bounds[0] != 1 {
+		t.Fatalf("snapshot histogram moved: %+v", h)
+	}
+	if h := run.Snapshot().Histograms["h"]; h.Count != 2 || h.Bounds[0] != 1 {
+		t.Fatalf("run histogram = %+v, want 2 samples over its own copy of the bounds", h)
 	}
 }
 
@@ -72,7 +96,7 @@ func TestCounterRejectsDecrease(t *testing.T) {
 			t.Fatal("negative Add did not panic")
 		}
 	}()
-	NewRegistry().Counter("c").Add(-1)
+	NewRun(Options{}).Add("c", -1)
 }
 
 func TestRingWraps(t *testing.T) {
@@ -149,9 +173,9 @@ func TestSnapshotAfterWrap(t *testing.T) {
 func TestSnapshotAndMerge(t *testing.T) {
 	mkRun := func(c float64, g float64, rep int) *Snapshot {
 		run := NewRun(Options{TraceDecisions: true, RingCap: 8})
-		run.Scope("taskrt").Counter("steals_local_total").Add(c)
-		run.Scope("machine").Gauge(`mc_utilization{node="0"}`).Set(g)
-		run.Scope("taskrt").Histogram("loop_elapsed_sec", []float64{1}).Observe(g)
+		run.Add("taskrt_steals_local_total", c)
+		run.Set(`machine_mc_utilization{node="0"}`, g)
+		run.Observe("taskrt_loop_elapsed_sec", []float64{1}, g)
 		run.Decisions().Record(Decision{LoopID: 1, K: 1, Phase: "explore"})
 		run.Profile().Add("loop", "compute", c)
 		s := run.Snapshot()
@@ -190,13 +214,12 @@ func TestSnapshotAndMerge(t *testing.T) {
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() []byte {
 		run := NewRun(Options{TraceDecisions: true})
-		sc := run.Scope("m")
 		// Insert in varying order; map key sorting must hide it.
-		for _, n := range []string{"z_total", "a_total", "k_total"} {
-			sc.Counter(n).Add(1)
+		for _, n := range []string{"m_z_total", "m_a_total", "m_k_total"} {
+			run.Add(n, 1)
 		}
-		sc.Gauge("g2").Set(2)
-		sc.Gauge("g1").Set(1)
+		run.Set("m_g2", 2)
+		run.Set("m_g1", 1)
 		run.Profile().Add("l2", "mem", 2)
 		run.Profile().Add("l1", "cpu", 1)
 		var buf bytes.Buffer
@@ -215,10 +238,10 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	run := NewRun(Options{})
-	run.Scope("engine").Counter("events_fired_total").Add(10)
-	run.Scope("machine").Gauge(`mc_utilization{node="1"}`).Set(0.5)
-	run.Scope("machine").Gauge(`mc_utilization{node="0"}`).Set(0.25)
-	run.Scope("taskrt").Histogram("loop_elapsed_sec", []float64{1, 2}).Observe(1.5)
+	run.Add("engine_events_fired_total", 10)
+	run.Set(`machine_mc_utilization{node="1"}`, 0.5)
+	run.Set(`machine_mc_utilization{node="0"}`, 0.25)
+	run.Observe("taskrt_loop_elapsed_sec", []float64{1, 2}, 1.5)
 	var buf bytes.Buffer
 	if err := run.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -60,12 +60,12 @@ func TestHistQuantileInterpolation(t *testing.T) {
 // histogram: with ExpBuckets and a linear ramp of samples the interpolated
 // p50 must land within one bucket width of the true median.
 func TestHistQuantileMatchesObservations(t *testing.T) {
-	h := &Histogram{bounds: ExpBuckets(1e-3, 2, 12)}
-	h.counts = make([]uint64, len(h.bounds)+1)
+	run := NewRun(Options{})
+	bounds := ExpBuckets(1e-3, 2, 12)
 	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i) * 1e-3) // 1ms .. 1s linear
+		run.Observe("h", bounds, float64(i)*1e-3) // 1ms .. 1s linear
 	}
-	s := h.snapshot()
+	s := run.Snapshot().Histograms["h"]
 	trueMedian := 0.5005
 	got := s.Quantile(0.5)
 	lo, hi := 0.256, 1.024 // the bucket the true median falls into

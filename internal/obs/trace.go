@@ -119,72 +119,3 @@ func (p *Profile) fold() map[string]float64 {
 	}
 	return out
 }
-
-// DefaultRingCap is the decision-ring capacity used when the caller does
-// not size it. A full ILAN campaign records one decision per taskloop
-// execution; 4096 holds every decision of the paper-scale benchmarks.
-const DefaultRingCap = 4096
-
-// Run is one simulated run's collector: the registry plus the optional
-// decision ring and virtual-time profile. A nil *Run is the disabled
-// observability layer; all methods and the component accessors are
-// nil-safe, so `rt.Obs().Decisions().Record(...)` costs two nil checks
-// when observability is off.
-type Run struct {
-	reg  *Registry
-	ring *Ring
-	prof *Profile
-}
-
-// Options configures a Run.
-type Options struct {
-	// TraceDecisions enables the decision ring buffer.
-	TraceDecisions bool
-	// RingCap sizes the ring (0 selects DefaultRingCap).
-	RingCap int
-}
-
-// NewRun builds an enabled collector.
-func NewRun(o Options) *Run {
-	r := &Run{reg: NewRegistry(), prof: NewProfile()}
-	if o.TraceDecisions {
-		capacity := o.RingCap
-		if capacity == 0 {
-			capacity = DefaultRingCap
-		}
-		r.ring = NewRing(capacity)
-	}
-	return r
-}
-
-// Registry returns the run's metric registry (nil when disabled).
-func (r *Run) Registry() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
-
-// Scope returns a component-namespaced view of the run's registry.
-func (r *Run) Scope(component string) *Scope {
-	if r == nil {
-		return nil
-	}
-	return r.reg.Scope(component)
-}
-
-// Decisions returns the decision ring (nil when disabled or not traced).
-func (r *Run) Decisions() *Ring {
-	if r == nil {
-		return nil
-	}
-	return r.ring
-}
-
-// Profile returns the virtual-time profile (nil when disabled).
-func (r *Run) Profile() *Profile {
-	if r == nil {
-		return nil
-	}
-	return r.prof
-}

@@ -3,8 +3,9 @@
 //
 //	/metrics   Prometheus text, merged across the reps completed so far —
 //	           counters are sums over completed reps, so successive scrapes
-//	           see monotone values. Harness progress rides along as
-//	           ilan_campaign_* series.
+//	           see monotone values. Attribution (-attr) rides along as
+//	           ilan_attr_* series, harness progress and the cache counters
+//	           as ilan_campaign_* series.
 //	/progress  JSON progress snapshot: cells done/total, per-cell rep
 //	           counts, elapsed wall-clock, throughput-extrapolated ETA.
 //	/events    Server-Sent Events stream of cell-completion, scheduler
@@ -76,46 +77,13 @@ func (s *Server) Close() error {
 	return s.http.Close()
 }
 
-// handleMetrics serves Prometheus text: the merged observability snapshot
-// of every completed rep, plus campaign-progress meta series. Valid (if
+// handleMetrics serves the tracker's one metrics snapshot as Prometheus
+// text: the merged metrics and attribution series of every completed rep
+// plus the campaign-progress and cache series. Valid (if
 // campaign-metrics-empty) even when the campaign runs without -metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if snap := s.tr.MergedObs(); snap != nil {
-		if err := snap.WritePrometheus(w); err != nil {
-			return
-		}
-	}
-	// Attribution series ride along when the campaign runs with -attr, so
-	// the same scrape that watches counters sees where time is going.
-	if attr := s.tr.MergedAttr(); attr != nil {
-		if err := attr.WritePrometheus(w); err != nil {
-			return
-		}
-	}
-	p := s.tr.Snapshot()
-	fmt.Fprintf(w, "# TYPE ilan_campaign_units_total counter\n")
-	fmt.Fprintf(w, "ilan_campaign_units_total %d\n", p.UnitsTotal)
-	fmt.Fprintf(w, "# TYPE ilan_campaign_units_done counter\n")
-	fmt.Fprintf(w, "ilan_campaign_units_done %d\n", p.UnitsDone)
-	fmt.Fprintf(w, "# TYPE ilan_campaign_units_failed counter\n")
-	fmt.Fprintf(w, "ilan_campaign_units_failed %d\n", p.UnitsFailed)
-	fmt.Fprintf(w, "# TYPE ilan_campaign_cells_total gauge\n")
-	fmt.Fprintf(w, "ilan_campaign_cells_total %d\n", p.CellsTotal)
-	fmt.Fprintf(w, "# TYPE ilan_campaign_cells_done gauge\n")
-	fmt.Fprintf(w, "ilan_campaign_cells_done %d\n", p.CellsDone)
-	// Campaign cache counters ride along when a cache is attached, so the
-	// same scrape that watches throughput sees the hit rate.
-	if c := p.Cache; c != nil {
-		fmt.Fprintf(w, "# TYPE ilan_campaign_cache_hits_total counter\n")
-		fmt.Fprintf(w, "ilan_campaign_cache_hits_total %d\n", c.Hits)
-		fmt.Fprintf(w, "# TYPE ilan_campaign_cache_misses_total counter\n")
-		fmt.Fprintf(w, "ilan_campaign_cache_misses_total %d\n", c.Misses)
-		fmt.Fprintf(w, "# TYPE ilan_campaign_cache_evictions_total counter\n")
-		fmt.Fprintf(w, "ilan_campaign_cache_evictions_total %d\n", c.Evictions)
-		fmt.Fprintf(w, "# TYPE ilan_campaign_cache_errors_total counter\n")
-		fmt.Fprintf(w, "ilan_campaign_cache_errors_total %d\n", c.Errors)
-	}
+	_ = s.tr.Metrics().WritePrometheus(w)
 }
 
 // handleProgress serves the JSON progress snapshot.

@@ -74,6 +74,29 @@ func TestProgressEndpoint(t *testing.T) {
 	}
 }
 
+// exposition parses a Prometheus text body into each family's declared
+// type and each sample's value, failing on a family typed twice or a line
+// that is neither.
+func exposition(t *testing.T, body string) (types, samples map[string]string) {
+	t.Helper()
+	types, samples = map[string]string{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			if _, dup := types[f[2]]; dup {
+				t.Fatalf("family %s typed twice:\n%s", f[2], body)
+			}
+			types[f[2]] = f[3]
+		case len(f) == 2 && f[0] != "#":
+			samples[f[0]] = f[1]
+		default:
+			t.Fatalf("malformed exposition line %q:\n%s", line, body)
+		}
+	}
+	return types, samples
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, tr, base := startServer(t)
 	tr.Begin("campaign", []harness.CellDecl{{Name: "CG/ilan", Units: 2}})
@@ -84,20 +107,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if !strings.Contains(body, "ilan_campaign_units_total 2") {
+	types, samples := exposition(t, body)
+	if samples["ilan_campaign_units_total"] != "2" || types["ilan_campaign_units_total"] != "counter" ||
+		types["ilan_campaign_cells_total"] != "gauge" {
 		t.Fatalf("meta series missing:\n%s", body)
 	}
 
 	run := obs.NewRun(obs.Options{})
-	run.Scope("taskrt").Counter("steals_local_total").Add(5)
-	tr.UnitDone(0, 0, run.Snapshot(), nil, nil)
+	run.Add("taskrt_steals_local_total", 5)
+	attr := &obs.AttrSnapshot{Runs: 1, Task: obs.TaskAttr{Tasks: 7, ElapsedSec: 0.5}}
+	tr.UnitDone(0, 0, run.Snapshot(), attr, nil)
 
 	_, body = get(t, base+"/metrics")
-	if !strings.Contains(body, "taskrt_steals_local_total 5") {
-		t.Fatalf("merged metric missing:\n%s", body)
-	}
-	if !strings.Contains(body, "# TYPE taskrt_steals_local_total counter") {
-		t.Fatalf("prometheus TYPE line missing:\n%s", body)
+	types, samples = exposition(t, body)
+	for name, want := range map[string][2]string{
+		"taskrt_steals_local_total":            {"counter", "5"},
+		"ilan_attr_tasks_total":                {"counter", "7"},
+		"ilan_attr_task_elapsed_seconds_total": {"gauge", "0.5"},
+		"ilan_campaign_units_done":             {"counter", "1"},
+	} {
+		if types[name] != want[0] || samples[name] != want[1] {
+			t.Fatalf("%s: type %q value %q, want %s %s:\n%s",
+				name, types[name], samples[name], want[0], want[1], body)
+		}
 	}
 }
 
@@ -129,15 +161,15 @@ func TestMetricsEndpointCacheSeries(t *testing.T) {
 	}
 
 	_, body = get(t, base+"/metrics")
-	for _, want := range []string{
-		"# TYPE ilan_campaign_cache_hits_total counter",
-		"ilan_campaign_cache_hits_total 1",
-		"ilan_campaign_cache_misses_total 1",
-		"ilan_campaign_cache_evictions_total 0",
-		"ilan_campaign_cache_errors_total 0",
+	types, samples := exposition(t, body)
+	for name, want := range map[string]string{
+		"ilan_campaign_cache_hits_total":      "1",
+		"ilan_campaign_cache_misses_total":    "1",
+		"ilan_campaign_cache_evictions_total": "0",
+		"ilan_campaign_cache_errors_total":    "0",
 	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
+		if types[name] != "counter" || samples[name] != want {
+			t.Fatalf("%s: type %q value %q, want counter %s:\n%s", name, types[name], samples[name], want, body)
 		}
 	}
 }

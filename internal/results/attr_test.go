@@ -88,7 +88,8 @@ func TestToMatrixSkipsAttrOnlyCells(t *testing.T) {
 	if mx := f.ToMatrix(); len(mx.Benches) != 0 {
 		t.Fatalf("attribution sidecar converted to matrix benches %v", mx.Benches)
 	}
-	f.Cells = append(f.Cells, Cell{Bench: "FT", Kind: "ilan", Times: []float64{2}})
+	f.Cells = append(f.Cells, Cell{Bench: "FT", Kind: "ilan", Times: []float64{2},
+		Overheads: []float64{0.1}, WeightedThreads: []float64{8}})
 	mx := f.ToMatrix()
 	if len(mx.Benches) != 1 || mx.Cell("FT", harness.KindILAN) == nil {
 		t.Fatalf("timed cell lost: benches %v", mx.Benches)

@@ -85,9 +85,6 @@ type Cell struct {
 	Attr *obs.AttrSnapshot `json:"attr,omitempty"`
 }
 
-// MeanTime returns the cell's mean elapsed seconds.
-func (c *Cell) MeanTime() float64 { return stats.Mean(c.Times) }
-
 // FromMatrix converts a campaign matrix into a persistable file.
 func FromMatrix(mx *harness.Matrix, cfg harness.Config, label string) *File {
 	f := &File{
@@ -143,7 +140,7 @@ func FromMulti(mm *harness.MultiMatrix, cfg harness.Config, label string) *File 
 // ToMultiMatrix reconstructs the multiprogrammed campaign from a persisted
 // file so the co-run report can be re-rendered without re-running. Returns
 // nil when the file holds no multi campaign. Kinds unknown to this build
-// are skipped, like ToMatrix does.
+// are skipped, like ToMatrix does, and f must come from Read or FromMulti.
 func (f *File) ToMultiMatrix() *harness.MultiMatrix {
 	if f.CoRun == nil || len(f.MultiCells) == 0 {
 		return nil
@@ -163,17 +160,8 @@ func (f *File) ToMultiMatrix() *harness.MultiMatrix {
 		for r := range mc.Elapsed {
 			s := harness.MultiSample{ElapsedSec: mc.Elapsed[r]}
 			for _, mp := range mc.Programs {
-				ps := harness.ProgramSample{Program: mp.Program, Bench: mp.Bench}
-				if r < len(mp.ArrivalSec) {
-					ps.ArrivalSec = mp.ArrivalSec[r]
-				}
-				if r < len(mp.StartSec) {
-					ps.StartSec = mp.StartSec[r]
-				}
-				if r < len(mp.MakespanSec) {
-					ps.MakespanSec = mp.MakespanSec[r]
-				}
-				s.Programs = append(s.Programs, ps)
+				s.Programs = append(s.Programs, harness.ProgramSample{Program: mp.Program, Bench: mp.Bench,
+					ArrivalSec: mp.ArrivalSec[r], StartSec: mp.StartSec[r], MakespanSec: mp.MakespanSec[r]})
 			}
 			hc.Samples = append(hc.Samples, s)
 		}
@@ -239,6 +227,12 @@ func Read(r io.Reader) (*File, error) {
 		if len(c.Times) == 0 && c.Attr == nil {
 			return nil, fmt.Errorf("results: cell %s has no samples", key)
 		}
+		// Every per-rep array holds one value per rep (a sidecar cell
+		// carries none of them).
+		if n := len(c.Times); len(c.Overheads) != n || len(c.WeightedThreads) != n {
+			return nil, fmt.Errorf("results: cell %s has %d times but %d overheads and %d weightedThreads",
+				key, n, len(c.Overheads), len(c.WeightedThreads))
+		}
 	}
 	if len(f.MultiCells) > 0 && f.CoRun == nil {
 		return nil, fmt.Errorf("results: multi cells without a co-run descriptor")
@@ -252,6 +246,12 @@ func Read(r io.Reader) (*File, error) {
 		if len(c.Elapsed) == 0 {
 			return nil, fmt.Errorf("results: multi cell %s has no samples", c.Kind)
 		}
+		for _, p := range c.Programs {
+			if n := len(c.Elapsed); len(p.ArrivalSec) != n || len(p.StartSec) != n || len(p.MakespanSec) != n {
+				return nil, fmt.Errorf("results: multi cell %s program %s has %d/%d/%d arrival/start/makespan values for %d reps",
+					c.Kind, p.Program, len(p.ArrivalSec), len(p.StartSec), len(p.MakespanSec), n)
+			}
+		}
 	}
 	return &f, nil
 }
@@ -261,7 +261,8 @@ func Read(r io.Reader) (*File, error) {
 // Cells whose kind name is unknown to this build are skipped, and so are
 // cells without timing samples (an attribution sidecar's cells): a report
 // over them would print NaN means. A sidecar therefore yields an empty
-// matrix.
+// matrix. f must come from Read or FromMatrix, which guarantee one value
+// per rep in every per-rep array.
 func (f *File) ToMatrix() *harness.Matrix {
 	var cells []*harness.Cell
 	for _, c := range f.Cells {
@@ -271,14 +272,8 @@ func (f *File) ToMatrix() *harness.Matrix {
 		}
 		hc := &harness.Cell{Bench: c.Bench, Kind: kind}
 		for i := range c.Times {
-			s := harness.RunSample{ElapsedSec: c.Times[i]}
-			if i < len(c.Overheads) {
-				s.OverheadSec = c.Overheads[i]
-			}
-			if i < len(c.WeightedThreads) {
-				s.WeightedThreads = c.WeightedThreads[i]
-			}
-			hc.Samples = append(hc.Samples, s)
+			hc.Samples = append(hc.Samples, harness.RunSample{ElapsedSec: c.Times[i],
+				OverheadSec: c.Overheads[i], WeightedThreads: c.WeightedThreads[i]})
 		}
 		cells = append(cells, hc)
 	}

@@ -138,20 +138,18 @@ func TestCompareNaNIsADiff(t *testing.T) {
 	}
 }
 
-// The real-world NaN path: Read validates that times is non-empty but not
-// overheads or weightedThreads, so a hand-edited or version-skewed file
-// with those arrays absent yields stats.Mean(nil) = NaN — which the old
-// gate accepted even when comparing the file against itself.
+// The NaN path of a file missing overheads and weightedThreads: Read
+// rejects such a cell (each per-rep array must match times), so no NaN
+// mean can come from a results file. A File built in memory without them
+// still yields stats.Mean(nil) = NaN, which the gate must report even
+// when comparing the file against itself.
 func TestCompareNaNFromFileMissingOverheads(t *testing.T) {
 	doc := `{"version":1,"cells":[{"bench":"CG","kind":"ilan","times":[1.5,1.6]}]}`
-	f, err := Read(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Read(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "CG/ilan") {
+		t.Fatalf("Read accepted a cell without overheads or weightedThreads (err %v)", err)
 	}
-	g, err := Read(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := &File{Version: 1, Cells: []Cell{{Bench: "CG", Kind: "ilan", Times: []float64{1.5, 1.6}}}}
+	g := &File{Version: 1, Cells: []Cell{{Bench: "CG", Kind: "ilan", Times: []float64{1.5, 1.6}}}}
 	diffs := Compare(f, g, 0.5)
 	fields := map[string]bool{}
 	for _, d := range diffs {
@@ -356,8 +354,8 @@ func TestToMatrixRoundTrip(t *testing.T) {
 
 func TestToMatrixSkipsUnknownKinds(t *testing.T) {
 	f := &File{Version: 1, Cells: []Cell{
-		{Bench: "X", Kind: "baseline", Times: []float64{1}},
-		{Bench: "X", Kind: "from-the-future", Times: []float64{1}},
+		{Bench: "X", Kind: "baseline", Times: []float64{1}, Overheads: []float64{0}, WeightedThreads: []float64{1}},
+		{Bench: "X", Kind: "from-the-future", Times: []float64{1}, Overheads: []float64{0}, WeightedThreads: []float64{1}},
 	}}
 	mx := f.ToMatrix()
 	if mx.Cell("X", harness.KindBaseline) == nil {
@@ -378,6 +376,53 @@ func TestReadRejectsBadFiles(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Read(strings.NewReader(doc)); err == nil {
 				t.Error("accepted invalid file")
+			}
+		})
+	}
+}
+
+// TestReadChecksPerRepArrayLengths: every per-rep array of a cell holds
+// one value per entry of times, and every co-run program's arrays one per
+// entry of elapsed. A short array used to load and be zero-filled by
+// ToMatrix, so a report printed numbers the file never held.
+func TestReadChecksPerRepArrayLengths(t *testing.T) {
+	solo := func(overheads, threads string) string {
+		return `{"version":1,"cells":[{"bench":"CG","kind":"baseline","times":[1,2]` +
+			overheads + threads + `}]}`
+	}
+	multi := func(arrival, start, makespan string) string {
+		return `{"version":1,"corun":{"benches":["CG"]},"cells":[],"multiCells":[{"kind":"ilan",` +
+			`"elapsed":[1,2],"programs":[{"program":"CG","bench":"CG","arrivalSec":` + arrival +
+			`,"startSec":` + start + `,"makespanSec":` + makespan + `}]}]}`
+	}
+	const ov, th = `,"overheads":[0.1,0.2]`, `,"weightedThreads":[8,8]`
+	cases := []struct {
+		name, doc, errHas string
+	}{
+		{"well-formed", solo(ov, th), ""},
+		{"attr sidecar cell", `{"version":1,"cells":[{"bench":"CG","kind":"ilan","attr":{"runs":1,"task":{"tasks":1}}}]}`, ""},
+		{"well-formed multi", multi("[0,0]", "[0,0]", "[1,2]"), ""},
+		{"short overheads", solo(`,"overheads":[0.1]`, th), "CG/baseline"},
+		{"long overheads", solo(`,"overheads":[0.1,0.2,0.3]`, th), "CG/baseline"},
+		{"absent overheads", solo("", th), "CG/baseline"},
+		{"short weightedThreads", solo(ov, `,"weightedThreads":[8]`), "CG/baseline"},
+		{"short arrivalSec", multi("[0]", "[0,0]", "[1,2]"), "multi cell ilan program CG"},
+		{"short startSec", multi("[0,0]", "[]", "[1,2]"), "multi cell ilan program CG"},
+		{"long makespanSec", multi("[0,0]", "[0,0]", "[1,2,3]"), "multi cell ilan program CG"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := Read(strings.NewReader(tc.doc))
+			switch {
+			case tc.errHas == "" && err != nil:
+				t.Fatalf("rejected a well-formed file: %v", err)
+			case tc.errHas == "":
+				f.ToMatrix()
+				f.ToMultiMatrix()
+			case err == nil:
+				t.Fatal("accepted a per-rep array of the wrong length")
+			case !strings.Contains(err.Error(), tc.errHas):
+				t.Fatalf("error %q does not name %q", err, tc.errHas)
 			}
 		})
 	}

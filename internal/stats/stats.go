@@ -1,13 +1,9 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: means, standard deviations, confidence intervals, speedup
-// ratios, and the outlier filter used in the paper's variability analysis.
+// harness needs: means, standard deviations, speedup ratios, Welch's
+// t-test, and the outlier filter used in the paper's variability analysis.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
 func Mean(xs []float64) float64 {
@@ -42,48 +38,6 @@ func Variance(xs []float64) float64 {
 	return s * s
 }
 
-// Min returns the smallest element, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element, or NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median, or NaN for empty input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // Speedup returns base/x: how many times faster x is than base
 // (>1 means faster, matching the paper's "normalized speedup").
 func Speedup(base, x float64) float64 {
@@ -91,15 +45,6 @@ func Speedup(base, x float64) float64 {
 		return math.Inf(1)
 	}
 	return base / x
-}
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // CoefVar returns the coefficient of variation (stddev/mean), or 0 when the
@@ -133,23 +78,6 @@ func DropOutliers(xs []float64, k float64) []float64 {
 		return append([]float64(nil), xs...)
 	}
 	return out
-}
-
-// WeightedMean returns sum(w*x)/sum(w). It panics on length mismatch and
-// returns NaN when weights sum to zero.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic(fmt.Sprintf("stats: WeightedMean length mismatch %d vs %d", len(xs), len(ws)))
-	}
-	var sw, swx float64
-	for i := range xs {
-		sw += ws[i]
-		swx += ws[i] * xs[i]
-	}
-	if sw == 0 {
-		return math.NaN()
-	}
-	return swx / sw
 }
 
 // GeoMean returns the geometric mean of positive values, or NaN if any
@@ -212,32 +140,4 @@ func SignificantlyDifferent(a, b []float64) bool {
 		crit = 2.02
 	}
 	return math.Abs(t) > crit
-}
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
-	}
-}
-
-// String renders a summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g sd=%.3g min=%.6g med=%.6g max=%.6g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
 }

@@ -92,18 +92,10 @@ func (rt *Runtime) attrCompleteLoop(le *loopExec) {
 		la.ImbalanceSec + la.BarrierSec)
 	rt.lastLoopAttr = la
 
-	t := rt.attrLoops[attrKey(le.spec)]
-	t.Executions += la.Executions
-	t.MakespanSec += la.MakespanSec
-	t.CoreSec += la.CoreSec
-	t.SelectSec += la.SelectSec
-	t.TaskSec += la.TaskSec
-	t.StealSec += la.StealSec
-	t.ImbalanceSec += la.ImbalanceSec
-	t.BarrierSec += la.BarrierSec
-	t.QueueWaitSec += la.QueueWaitSec
-	t.ResidualSec += la.ResidualSec
-	rt.attrLoops[attrKey(le.spec)] = t
+	k := attrKey(le.spec)
+	t := rt.attrLoops[k]
+	t.Add(la)
+	rt.attrLoops[k] = t
 }
 
 // attrKey names a loop's attribution bucket. Multiprogrammed runs prefix

@@ -13,7 +13,6 @@ var loopElapsedBuckets = obs.ExpBuckets(1e-4, 2, 12)
 // FinalizeObs instead of being pushed per event.
 func (rt *Runtime) SetObs(run *obs.Run) {
 	rt.obsRun = run
-	rt.obsLoopHist = run.Scope("taskrt").Histogram("loop_elapsed_sec", loopElapsedBuckets)
 	if run != nil {
 		rt.mach.EnableObs()
 	}
@@ -28,7 +27,7 @@ func (rt *Runtime) Obs() *obs.Run { return rt.obsRun }
 // to compute, memory, and runtime overhead. Called from completeLoop under
 // an obsRun nil check.
 func (rt *Runtime) observeLoop(le *loopExec) {
-	rt.obsLoopHist.Observe(le.st.Elapsed.Seconds())
+	rt.obsRun.Observe("taskrt_loop_elapsed_sec", loopElapsedBuckets, le.st.Elapsed.Seconds())
 	p := rt.obsRun.Profile()
 	p.Add(le.spec.Name, "compute", le.st.ComputeSeconds)
 	p.Add(le.spec.Name, "memory", le.st.MemorySeconds)
@@ -37,23 +36,20 @@ func (rt *Runtime) observeLoop(le *loopExec) {
 
 // FinalizeObs samples the run-level aggregates — engine event counts,
 // steal statistics, loop totals, and the machine's counters — into the
-// collector's registry. Call once, after the run has drained. No-op when
+// collector. Call once, after the run has drained. No-op when
 // observability is off.
 func (rt *Runtime) FinalizeObs() {
 	run := rt.obsRun
 	if run == nil {
 		return
 	}
-	reg := run.Registry()
-	esc := reg.Scope("engine")
-	esc.Counter("events_fired_total").Add(float64(rt.eng.Processed()))
-	esc.Counter("events_cancelled_total").Add(float64(rt.eng.Cancelled()))
-	tsc := reg.Scope("taskrt")
-	tsc.Counter("steals_local_total").Add(float64(rt.stealsLocal))
-	tsc.Counter("steals_remote_total").Add(float64(rt.stealsRemote))
-	tsc.Counter("steal_attempts_total").Add(float64(rt.stealAttempts))
-	tsc.Counter("loop_executions_total").Add(float64(rt.loopExecutions))
-	tsc.Counter("overhead_seconds_total").Add(rt.overheadSec)
-	tsc.Counter("loop_seconds_total").Add(rt.elapsedLoopSec)
-	rt.mach.FillObs(reg)
+	run.Add("engine_events_fired_total", float64(rt.eng.Processed()))
+	run.Add("engine_events_cancelled_total", float64(rt.eng.Cancelled()))
+	run.Add("taskrt_steals_local_total", float64(rt.stealsLocal))
+	run.Add("taskrt_steals_remote_total", float64(rt.stealsRemote))
+	run.Add("taskrt_steal_attempts_total", float64(rt.stealAttempts))
+	run.Add("taskrt_loop_executions_total", float64(rt.loopExecutions))
+	run.Add("taskrt_overhead_seconds_total", rt.overheadSec)
+	run.Add("taskrt_loop_seconds_total", rt.elapsedLoopSec)
+	rt.mach.FillObs(run)
 }

@@ -68,10 +68,8 @@ type Runtime struct {
 	probe Probe
 
 	// obsRun is the attached observability collector (nil = off, the
-	// default); obsLoopHist caches the loop-elapsed histogram handle so the
-	// per-loop hook performs no registry lookups. See obs.go.
-	obsRun      *obs.Run
-	obsLoopHist *obs.Histogram
+	// default). See obs.go.
+	obsRun *obs.Run
 
 	// attrOn gates virtual-time attribution (see attr.go). attrIdleSince
 	// stamps, per core, when the thread last became idle within the loop
