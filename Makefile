@@ -20,10 +20,12 @@ test:
 	$(GO) test ./...
 
 # Hot-path benchmarks (event engine, dispatch/steal loop, full campaign)
-# with allocation stats; the JSON snapshot records the perf trajectory.
+# with allocation stats; each run appends a commit-stamped entry to the
+# BENCH_hotpath.json trajectory.
 bench:
 	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm' \
-		-benchmem -run=NONE . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
+		-benchmem -run=NONE . | tee /dev/stderr | \
+		$(GO) run ./cmd/benchjson -commit $$(git rev-parse --short HEAD) -file BENCH_hotpath.json
 
 # Full benchmark sweep (figures, ablations, micro-benches).
 bench-all:
@@ -47,9 +49,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzRenumbering -fuzztime=$(FUZZTIME) ./internal/simcheck
 	$(GO) test -fuzz=FuzzSpecValidate -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -fuzz=FuzzReferenceSolver -fuzztime=$(FUZZTIME) ./internal/machine
+	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
-# Reproduce every figure and table at paper scale (~1h on one core).
+# Reproduce every figure and table at paper scale. `-exp all -reps 30
+# -jobs 2` took 170 s of wall time and 335 s of CPU (user+sys) on a shared
+# 2-core host (196 s and 384 s before loop executions were pooled).
 figures:
 	$(GO) run ./cmd/ilanexp -exp all -reps 30
 

@@ -298,21 +298,36 @@ func BenchmarkAblationStealSplit(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkEngineEvents measures raw event throughput of the DES core.
+// BenchmarkEngineEvents measures raw event throughput of the DES core with
+// a given number of events pending: one self-rescheduling chain isolates
+// the per-event constant, 64 concurrent chains (one per core of the paper
+// platform, the queue depth a full-width loop keeps) exercise the sifts.
 func BenchmarkEngineEvents(b *testing.B) {
-	b.ReportAllocs()
-	e := sim.NewEngine()
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(1e-6, tick)
-		}
-	}
-	e.After(0, tick)
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
+	for _, pending := range []int{1, 64} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			b.ReportAllocs()
+			e := sim.NewEngine()
+			n := 0
+			chains := make([]func(), pending)
+			for c := range chains {
+				// Distinct periods keep the chains interleaving instead of
+				// firing in lockstep.
+				period := sim.Duration(1+c%7) * 1e-6
+				chains[c] = func() {
+					n++
+					if n < b.N {
+						e.After(period, chains[c])
+					}
+				}
+			}
+			b.ResetTimer()
+			for c := 0; c < pending && c < b.N; c++ {
+				e.After(0, chains[c])
+			}
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -324,15 +339,12 @@ type masterQueueSched struct{ chunk int }
 
 func (s *masterQueueSched) Name() string { return "bench-masterq" }
 func (s *masterQueueSched) Plan(rt *taskrt.Runtime, spec *taskrt.LoopSpec, _ *taskrt.Occupancy) *taskrt.Plan {
-	p := &taskrt.Plan{
-		Active:         make([]int, rt.Topology().NumCores()),
-		Place:          make([]taskrt.TaskPlacement, 0, spec.Tasks),
-		Mode:           taskrt.StealHierarchical,
-		InterNodeSteal: true,
-		StealChunk:     s.chunk,
-	}
-	for c := range p.Active {
-		p.Active[c] = c
+	p := rt.NewPlan()
+	p.Mode = taskrt.StealHierarchical
+	p.InterNodeSteal = true
+	p.StealChunk = s.chunk
+	for c := 0; c < rt.Topology().NumCores(); c++ {
+		p.Active = append(p.Active, c)
 	}
 	for t := 0; t < spec.Tasks; t++ {
 		lo, hi := spec.ChunkBounds(t)

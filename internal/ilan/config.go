@@ -25,6 +25,7 @@ package ilan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -160,6 +161,21 @@ func (ls *loopState) fastestTwo() (best, second *cfgStats) {
 		second = all[1]
 	}
 	return best, second
+}
+
+// config returns the configuration for a thread count, node mask and core
+// list. Configurations are retained (pending, chosen, history) and never
+// written after this, so the slices of the loop's previous configuration
+// are shared when they hold the same values — the common case once the
+// search settles, where the re-derived mask rarely moves — and nodes and
+// cores, which are the caller's scratch, are copied otherwise.
+func (ls *loopState) config(threads int, nodes, cores []int) Config {
+	for _, prev := range []*Config{&ls.pending, &ls.chosen} {
+		if slices.Equal(prev.Nodes, nodes) && slices.Equal(prev.Cores, cores) {
+			return Config{Threads: threads, Nodes: prev.Nodes, Cores: prev.Cores}
+		}
+	}
+	return Config{Threads: threads, Nodes: slices.Clone(nodes), Cores: slices.Clone(cores)}
 }
 
 // meanNodeSec returns the historical mean task duration on a node, or +Inf

@@ -7,7 +7,8 @@ import (
 	"github.com/ilan-sched/ilan/internal/topology"
 )
 
-// buildPlan turns a configuration into the hierarchical distribution plan:
+// buildPlan fills plan, an empty plan (Runtime.NewPlan), with the
+// hierarchical distribution of a configuration:
 //
 //   - Tasks are mapped contiguously by task index onto the active nodes
 //     (node i receives tasks [i*T/N, (i+1)*T/N)), preserving the adjacency
@@ -17,19 +18,17 @@ import (
 //   - Under the strict steal policy every task is NUMA-strict. Under the
 //     full policy the leading StrictFraction of each node's tasks stays
 //     strict (yellow) and the tail is stealable across nodes (green).
-func (s *Scheduler) buildPlan(spec *taskrt.LoopSpec, topo *topology.Machine, cfg Config, strictFraction float64) *taskrt.Plan {
-	plan := &taskrt.Plan{
-		Active:         append([]int(nil), cfg.Cores...),
-		Place:          make([]taskrt.TaskPlacement, 0, spec.Tasks),
-		Mode:           taskrt.StealHierarchical,
-		InterNodeSteal: cfg.StealFull,
-		SelectOverheadSec: s.opts.SelectCostSec +
-			s.opts.SelectPerThreadSec*float64(len(cfg.Cores)) +
-			s.opts.PlacePerTaskSec*float64(spec.Tasks),
-	}
+func (s *Scheduler) buildPlan(plan *taskrt.Plan, spec *taskrt.LoopSpec, topo *topology.Machine, cfg Config, strictFraction float64) *taskrt.Plan {
+	plan.Active = append(plan.Active, cfg.Cores...)
+	plan.Mode = taskrt.StealHierarchical
+	plan.InterNodeSteal = cfg.StealFull
+	plan.SelectOverheadSec = s.opts.SelectCostSec +
+		s.opts.SelectPerThreadSec*float64(len(cfg.Cores)) +
+		s.opts.PlacePerTaskSec*float64(spec.Tasks)
 
 	// Primary core per active node: the lowest-numbered active core there.
-	primary := make([]int, topo.NumNodes())
+	s.useTopology(topo)
+	primary := s.primary
 	for i := range primary {
 		primary[i] = -1
 	}

@@ -57,7 +57,7 @@ func TestBuildPlanDegenerateSizesStrictCounts(t *testing.T) {
 			cfg := s.widen(ls, topo, 16, nil)
 			cfg.StealFull = true
 			spec := tinySpec(tc.tasks)
-			plan := s.buildPlan(spec, topo, cfg, tc.fraction)
+			plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg, tc.fraction)
 			if err := plan.Validate(spec, topo.NumCores(), nil); err != nil {
 				t.Fatal(err)
 			}

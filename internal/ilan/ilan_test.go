@@ -176,7 +176,7 @@ func TestBuildPlanStrictPolicyAllStrict(t *testing.T) {
 	cfg.StealFull = false
 	spec := &taskrt.LoopSpec{ID: 1, Name: "x", Iters: 64, Tasks: 16,
 		Demand: func(lo, hi int) (float64, []memsys.Access) { return 0, nil }}
-	plan := s.buildPlan(spec, topo, cfg, s.opts.StrictFraction)
+	plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg, s.opts.StrictFraction)
 	if err := plan.Validate(spec, topo.NumCores(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBuildPlanFullPolicySplitsStrictAndGreen(t *testing.T) {
 	cfg.StealFull = true
 	spec := &taskrt.LoopSpec{ID: 1, Name: "x", Iters: 64, Tasks: 16,
 		Demand: func(lo, hi int) (float64, []memsys.Access) { return 0, nil }}
-	plan := s.buildPlan(spec, topo, cfg, s.opts.StrictFraction)
+	plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg, s.opts.StrictFraction)
 	if err := plan.Validate(spec, topo.NumCores(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBuildPlanTinyLoopKeepsStrictTasks(t *testing.T) {
 		cfg.StealFull = true
 		spec := &taskrt.LoopSpec{ID: 1, Name: "tiny", Iters: 64, Tasks: tasks,
 			Demand: func(lo, hi int) (float64, []memsys.Access) { return 0, nil }}
-		plan := s.buildPlan(spec, topo, cfg, s.opts.StrictFraction)
+		plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg, s.opts.StrictFraction)
 		if err := plan.Validate(spec, topo.NumCores(), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestBuildPlanContiguousNodeMapping(t *testing.T) {
 	cfg := s.widen(ls, topo, 16, nil)
 	spec := &taskrt.LoopSpec{ID: 1, Name: "x", Iters: 160, Tasks: 16,
 		Demand: func(lo, hi int) (float64, []memsys.Access) { return 0, nil }}
-	plan := s.buildPlan(spec, topo, cfg, s.opts.StrictFraction)
+	plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg, s.opts.StrictFraction)
 	// Task cores must be non-decreasing node sequence with exactly 4 tasks
 	// per node (16 tasks over 4 nodes).
 	perCore := map[int]int{}

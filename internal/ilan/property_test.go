@@ -76,7 +76,7 @@ func TestPropertyPlansAlwaysValid(t *testing.T) {
 			ID: 1, Name: "p", Iters: iters, Tasks: tasks,
 			Demand: func(lo, hi int) (float64, []memsys.Access) { return 0, nil },
 		}
-		plan := s.buildPlan(spec, topo, cfg, s.opts.StrictFraction)
+		plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg, s.opts.StrictFraction)
 		return plan.Validate(spec, topo.NumCores(), nil) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -123,6 +123,18 @@ func DefaultOptions() Options {
 type Scheduler struct {
 	opts  Options
 	loops map[int]*loopState
+
+	// Planning scratch, kept across calls so a settled loop plans without
+	// allocating: widen's per-node free capacity, node order, mask and
+	// core list, buildPlan's primary core per node, and the
+	// topology-nearest node order from each node, all built for topo.
+	topo     *topology.Machine
+	capacity []int
+	order    []int
+	nodes    []int
+	cores    []int
+	primary  []int
+	nearest  [][]int
 }
 
 var _ taskrt.Scheduler = (*Scheduler)(nil)
@@ -216,7 +228,7 @@ func (s *Scheduler) Plan(rt *taskrt.Runtime, spec *taskrt.LoopSpec, occ *taskrt.
 		cfg = s.selectFixed(ls, topo, occ)
 	}
 	ls.pending = cfg
-	plan := s.buildPlan(spec, topo, cfg, s.strictFraction(ls))
+	plan := s.buildPlan(rt.NewPlan(), spec, topo, cfg, s.strictFraction(ls))
 	if cfg.StealFull {
 		greens := 0
 		for _, tp := range plan.Place {
@@ -372,10 +384,12 @@ func (s *Scheduler) widen(ls *loopState, topo *topology.Machine, threads int, oc
 	if threads < 1 {
 		panic(fmt.Sprintf("ilan: widen with %d threads", threads))
 	}
+	s.useTopology(topo)
 	nNodes := topo.NumNodes()
-	capacity := make([]int, nNodes)
+	capacity := s.capacity
 	totalFree := 0
 	for n := 0; n < nNodes; n++ {
+		capacity[n] = 0
 		for _, c := range topo.CoresOfNode(n) {
 			if !occ.Held(c) {
 				capacity[n]++
@@ -404,7 +418,7 @@ func (s *Scheduler) widen(ls *loopState, topo *topology.Machine, threads int, oc
 	}
 	// Walk topology-nearest from the fastest node, accumulating free
 	// capacity until the thread count fits; that walk is the node mask.
-	order := topo.NearestNodes(fastest)
+	order := s.nearest[fastest]
 	nodesNeeded := 0
 	for acc := 0; acc < threads; nodesNeeded++ {
 		acc += capacity[order[nodesNeeded]]
@@ -414,18 +428,17 @@ func (s *Scheduler) widen(ls *loopState, topo *topology.Machine, threads int, oc
 		// node order: the mask selects nothing, and reordering would only
 		// rotate the contiguous task-to-node mapping away from the data
 		// layout the loop's first-touch initialization established.
-		order = order[:0]
+		order = s.order[:0]
 		for n := 0; n < nNodes; n++ {
 			if capacity[n] > 0 {
 				order = append(order, n)
 			}
 		}
 	}
-	cfg := Config{
-		Threads: threads,
-		Nodes:   make([]int, 0, nodesNeeded),
-		Cores:   make([]int, 0, threads),
-	}
+	// The mask is the first nodesNeeded nodes of the walk that have free
+	// capacity; the cores are their free cores, in that order.
+	nodes := s.nodes[:0]
+	cores := s.cores[:0]
 	remaining := threads
 	for _, n := range order {
 		if remaining == 0 {
@@ -434,7 +447,7 @@ func (s *Scheduler) widen(ls *loopState, topo *topology.Machine, threads int, oc
 		if capacity[n] == 0 {
 			continue
 		}
-		cfg.Nodes = append(cfg.Nodes, n)
+		nodes = append(nodes, n)
 		for _, c := range topo.CoresOfNode(n) {
 			if remaining == 0 {
 				break
@@ -442,11 +455,31 @@ func (s *Scheduler) widen(ls *loopState, topo *topology.Machine, threads int, oc
 			if occ.Held(c) {
 				continue
 			}
-			cfg.Cores = append(cfg.Cores, c)
+			cores = append(cores, c)
 			remaining--
 		}
 	}
-	return cfg
+	return ls.config(threads, nodes, cores)
+}
+
+// useTopology sizes the planning scratch for topo, dropping tables built
+// for another machine. Each buffer is sized for its largest use, so the
+// appends in widen never move it.
+func (s *Scheduler) useTopology(topo *topology.Machine) {
+	if s.topo == topo {
+		return
+	}
+	s.topo = topo
+	nNodes := topo.NumNodes()
+	s.capacity = make([]int, nNodes)
+	s.order = make([]int, 0, nNodes)
+	s.nodes = make([]int, 0, nNodes)
+	s.cores = make([]int, 0, topo.NumCores())
+	s.primary = make([]int, nNodes)
+	s.nearest = make([][]int, nNodes)
+	for n := range s.nearest {
+		s.nearest[n] = topo.NearestNodes(n)
+	}
 }
 
 // Observe implements taskrt.Scheduler: it feeds the measurement back into

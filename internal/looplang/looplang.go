@@ -301,6 +301,11 @@ func (l *LoopDecl) compile(id int, regions map[string]*memsys.Region) (*taskrt.L
 		}
 	}
 
+	// The accesses are written into one slice the closure owns, made on
+	// the first call so that building a program allocates no more: each
+	// call overwrites the previous call's result (see taskrt.DemandFunc).
+	nAcc := len(streams) + len(spans)
+	var scratch []memsys.Access
 	return &taskrt.LoopSpec{
 		ID:    id,
 		Name:  l.Name,
@@ -312,7 +317,10 @@ func (l *LoopDecl) compile(id int, regions map[string]*memsys.Region) (*taskrt.L
 			for i := lo; i < hi; i++ {
 				sec += compute * weight(i)
 			}
-			var acc []memsys.Access
+			if scratch == nil && nAcc > 0 {
+				scratch = make([]memsys.Access, 0, nAcc)
+			}
+			acc := scratch
 			for _, s := range streams {
 				acc = append(acc, memsys.Access{
 					Region: s.r, Offset: int64(lo) * s.bpi,

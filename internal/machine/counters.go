@@ -47,6 +47,13 @@ func (m *Machine) Counters() Counters {
 	return c
 }
 
+// TimeSplit returns the Counters' ComputeSeconds and MemorySeconds without
+// copying the per-resource arrays: the two scalars the runtime samples at
+// every loop's start and end.
+func (m *Machine) TimeSplit() (computeSec, memorySec float64) {
+	return m.counters.ComputeSeconds, m.counters.MemorySeconds
+}
+
 // MemoryIntensity returns memory seconds / (compute + memory) seconds: the
 // fraction of execution the machine spent limited by the memory system —
 // the quantity the paper calls memory intensity when reasoning about which

@@ -15,7 +15,11 @@ import (
 // The paper's argument — that ILAN subsumes affinity by adding structured
 // distribution, NUMA-aware stealing and moldability — is reproducible by
 // comparing this scheduler against ILAN (harness experiment "affinity").
-type Affinity struct{}
+type Affinity struct {
+	// firstFree is Plan's per-node table of the node's first free core,
+	// kept across calls so planning allocates nothing.
+	firstFree []int
+}
 
 // Name implements taskrt.Scheduler.
 func (a *Affinity) Name() string { return "affinity" }
@@ -23,16 +27,16 @@ func (a *Affinity) Name() string { return "affinity" }
 // Plan implements taskrt.Scheduler.
 func (a *Affinity) Plan(rt *taskrt.Runtime, spec *taskrt.LoopSpec, occ *taskrt.Occupancy) *taskrt.Plan {
 	topo := rt.Topology()
-	free := freeCores(rt, occ)
-	p := &taskrt.Plan{
-		Active: free,
-		Mode:   taskrt.StealFlat,
-	}
+	p := rt.NewPlan()
+	p.Active = freeCores(p.Active, rt, occ)
+	p.Mode = taskrt.StealFlat
+	free := p.Active
 	// A hint lands on the first free core of the hinted node; if a
 	// co-runner owns the whole node (or there is no hint), the first free
 	// core stands in. Empty occupancy reduces both to the original
 	// primary-core / core-0 placement.
-	firstFree := make([]int, topo.NumNodes())
+	firstFree := resize(a.firstFree, topo.NumNodes())
+	a.firstFree = firstFree
 	for n := range firstFree {
 		firstFree[n] = -1
 	}

@@ -8,19 +8,20 @@ import (
 	"github.com/ilan-sched/ilan/internal/taskrt"
 )
 
-// freeCores lists the cores no concurrently live loop holds, in ascending
-// order. With an empty occupancy this is every core, so all schedulers in
-// this package plan exactly as they would in a single-program run; under
-// co-running they degrade gracefully to the machine's free partition.
-func freeCores(rt *taskrt.Runtime, occ *taskrt.Occupancy) []int {
+// freeCores appends the cores no concurrently live loop holds to dst, in
+// ascending order. With an empty occupancy this is every core, so all
+// schedulers in this package plan exactly as they would in a
+// single-program run; under co-running they degrade gracefully to the
+// machine's free partition. The schedulers pass the Active slice of a
+// runtime-issued plan (Runtime.NewPlan), so the list reuses its capacity.
+func freeCores(dst []int, rt *taskrt.Runtime, occ *taskrt.Occupancy) []int {
 	n := rt.Topology().NumCores()
-	free := make([]int, 0, n-occ.HeldCount())
 	for c := 0; c < n; c++ {
 		if !occ.Held(c) {
-			free = append(free, c)
+			dst = append(dst, c)
 		}
 	}
-	return free
+	return dst
 }
 
 // Baseline models the default LLVM OpenMP tasking scheduler: the thread
@@ -38,12 +39,10 @@ func (b *Baseline) Name() string { return "baseline" }
 
 // Plan implements taskrt.Scheduler.
 func (b *Baseline) Plan(rt *taskrt.Runtime, spec *taskrt.LoopSpec, occ *taskrt.Occupancy) *taskrt.Plan {
-	free := freeCores(rt, occ)
-	p := &taskrt.Plan{
-		Active: free,
-		Place:  make([]taskrt.TaskPlacement, 0, spec.Tasks),
-		Mode:   taskrt.StealFlat,
-	}
+	p := rt.NewPlan()
+	p.Active = freeCores(p.Active, rt, occ)
+	p.Mode = taskrt.StealFlat
+	free := p.Active
 	// The encountering thread holds the master deque; if a co-runner owns
 	// that core, the first free core stands in.
 	master := free[0]
@@ -74,16 +73,14 @@ func (w *WorkSharing) Name() string { return "worksharing" }
 
 // Plan implements taskrt.Scheduler.
 func (w *WorkSharing) Plan(rt *taskrt.Runtime, spec *taskrt.LoopSpec, occ *taskrt.Occupancy) *taskrt.Plan {
-	free := freeCores(rt, occ)
+	p := rt.NewPlan()
+	free := freeCores(p.Active, rt, occ)
 	n := len(free)
 	if n > spec.Iters {
 		n = spec.Iters
 	}
-	p := &taskrt.Plan{
-		Active: free[:n],
-		Place:  make([]taskrt.TaskPlacement, 0, n),
-		Mode:   taskrt.StealOff,
-	}
+	p.Active = free[:n]
+	p.Mode = taskrt.StealOff
 	for i := 0; i < n; i++ {
 		lo := i * spec.Iters / n
 		hi := (i + 1) * spec.Iters / n
@@ -100,3 +97,12 @@ var (
 	_ taskrt.Scheduler = (*Baseline)(nil)
 	_ taskrt.Scheduler = (*WorkSharing)(nil)
 )
+
+// resize returns buf with length n, reusing its array when it is large
+// enough: the schedulers' per-node tables persist across Plan calls.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}

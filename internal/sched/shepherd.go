@@ -22,6 +22,12 @@ type Shepherd struct {
 	// (default 4, "transferring chunks of tasks to reduce the required
 	// number of steal operations").
 	ChunkSize int
+
+	// shepherdOf and nodes are Plan's per-node tables (each node's
+	// shepherd core, the nodes that have one), kept across calls so
+	// planning allocates nothing.
+	shepherdOf []int
+	nodes      []int
 }
 
 // Name implements taskrt.Scheduler.
@@ -34,29 +40,29 @@ func (s *Shepherd) Plan(rt *taskrt.Runtime, spec *taskrt.LoopSpec, occ *taskrt.O
 	if chunk <= 0 {
 		chunk = 4
 	}
-	free := freeCores(rt, occ)
-	p := &taskrt.Plan{
-		Active:         free,
-		Mode:           taskrt.StealHierarchical,
-		InterNodeSteal: true,
-		StealChunk:     chunk,
-	}
+	p := rt.NewPlan()
+	p.Active = freeCores(p.Active, rt, occ)
+	p.Mode = taskrt.StealHierarchical
+	p.InterNodeSteal = true
+	p.StealChunk = chunk
 	// Shepherds are the first free core of each node that has any; the
 	// contiguous task split spans only those nodes. With an empty
 	// occupancy every node participates and its shepherd is its primary
 	// core, the original full-width plan.
-	shepherdOf := make([]int, topo.NumNodes())
+	shepherdOf := resize(s.shepherdOf, topo.NumNodes())
+	s.shepherdOf = shepherdOf
 	for n := range shepherdOf {
 		shepherdOf[n] = -1
 	}
-	var nodes []int
-	for _, c := range free {
+	nodes := s.nodes[:0]
+	for _, c := range p.Active {
 		n := topo.NodeOfCore(c)
 		if shepherdOf[n] < 0 {
 			shepherdOf[n] = c
 			nodes = append(nodes, n)
 		}
 	}
+	s.nodes = nodes
 	for t := 0; t < spec.Tasks; t++ {
 		lo, hi := spec.ChunkBounds(t)
 		ni := t * len(nodes) / spec.Tasks

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 )
@@ -9,21 +8,38 @@ import (
 // Event is a closure scheduled to run at a point in virtual time.
 type Event func()
 
-// event is the internal heap entry. Ties on time are broken by insertion
-// sequence so that execution order is fully deterministic.
+// entry is one element of the event queue. It is a pure value — no
+// pointers — so sifting entries through the heap moves plain words and
+// never triggers a garbage-collector write barrier, and comparisons read
+// the keys in place instead of chasing a pointer per element. Ties on
+// time are broken by insertion sequence; (at, seq) is a strict total
+// order, so the pop order, and with it every simulated output, does not
+// depend on the heap's shape.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32 // index into Engine.slots
+}
+
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// slot is the mutable side of a scheduled event: its callback, its
+// incarnation counter and its current heap position.
 //
-// Events are pooled: when one fires or is cancelled it returns to the
-// engine's free list and its gen counter advances, invalidating every
-// Handle issued for the previous incarnation. A paper-scale campaign
-// schedules hundreds of millions of events, so recycling them is what
+// Slots are pooled: when an event fires or is cancelled its slot returns
+// to the engine's free list and its gen counter advances, invalidating
+// every Handle issued for the previous incarnation. A paper-scale campaign
+// schedules hundreds of millions of events, so recycling slots is what
 // keeps the hot loop allocation-free.
-type event struct {
-	at  Time
-	seq uint64
-	gen uint64 // incarnation counter; bumped on recycle
+type slot struct {
 	fn  Event
-	idx int     // heap index, maintained by eventHeap
-	eng *Engine // owning engine, for Handle.Cancel
+	gen uint64 // incarnation counter; bumped on recycle
+	pos int32  // index in Engine.heap while pending
 }
 
 // Handle identifies a scheduled event and allows cancelling it. A Handle
@@ -32,8 +48,21 @@ type event struct {
 // report false, even if the engine has recycled the underlying slot for a
 // new event.
 type Handle struct {
-	ev  *event
-	gen uint64
+	eng  *Engine
+	slot int32
+	gen  uint64
+}
+
+// live returns the handle's slot while its incarnation is pending, or nil
+// for a stale or zero handle.
+func (h Handle) live() *slot {
+	if h.eng == nil {
+		return nil
+	}
+	if s := &h.eng.slots[h.slot]; s.gen == h.gen {
+		return s
+	}
+	return nil
 }
 
 // Cancel removes the event from the engine's queue. Cancelling an
@@ -41,91 +70,68 @@ type Handle struct {
 // whether the event was still pending. The slot is recycled immediately,
 // so cancelled events do not linger in the queue or inflate Pending().
 func (h Handle) Cancel() bool {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen {
+	s := h.live()
+	if s == nil {
 		return false
 	}
-	ev.eng.cancelled++
-	heap.Remove(&ev.eng.events, ev.idx)
-	ev.eng.recycle(ev)
+	e := h.eng
+	e.cancelled++
+	e.remove(int(s.pos))
+	e.recycle(h.slot)
 	return true
 }
 
 // Pending reports whether the event is still waiting to fire.
-func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
+func (h Handle) Pending() bool { return h.live() != nil }
 
 // When returns the time the event is scheduled to fire at, and whether the
 // handle is still live. A stale handle reports (0, false).
 func (h Handle) When() (Time, bool) {
-	if h.ev == nil || h.ev.gen != h.gen {
+	s := h.live()
+	if s == nil {
 		return 0, false
 	}
-	return h.ev.at, true
+	return h.eng.heap[s.pos].at, true
 }
 
 // Reschedule moves a still-pending event to absolute time t in place: the
 // event keeps its slot (and the Handle stays valid) but draws a fresh
 // insertion sequence, exactly as if it had been cancelled and re-scheduled
 // — so tie-break ordering against other events at t is identical to
-// Cancel+At — while paying a single heap.Fix instead of a Remove and a
-// Push. Rescheduling a stale handle is a no-op that reports false; it does
-// not count as a cancellation. Rescheduling into the past panics.
+// Cancel+At — while paying a single sift instead of a removal and an
+// insertion. Rescheduling a stale handle is a no-op that reports false; it
+// does not count as a cancellation. Rescheduling into the past panics.
 func (h Handle) Reschedule(t Time) bool {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen {
+	s := h.live()
+	if s == nil {
 		return false
 	}
-	e := ev.eng
+	e := h.eng
 	if t < e.now {
 		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", t, e.now))
 	}
-	ev.at = t
-	ev.seq = e.seq
+	i := int(s.pos)
+	e.heap[i].at = t
+	e.heap[i].seq = e.seq
 	e.seq++
-	heap.Fix(&e.events, ev.idx)
+	e.fix(i)
 	e.rescheduled++
 	return true
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }
 
 // Engine is the discrete-event simulator core. It is not safe for
 // concurrent use: the whole simulation is single-threaded by design, so
 // results are bit-identical across runs and host machines.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	// free is the event free list. Fired and cancelled events return here
-	// and are handed out again by At, so steady-state scheduling performs
-	// no allocation.
-	free []*event
+	now Time
+	seq uint64
+	// heap is a binary min-heap of pending events ordered by (at, seq).
+	heap []entry
+	// slots holds the callback of every event slot ever allocated; free
+	// lists the recycled ones, which At hands out again so steady-state
+	// scheduling performs no allocation.
+	slots []slot
+	free  []int32
 	// processed counts events executed; used by tests and runaway guards.
 	processed uint64
 	// cancelled counts events removed via Handle.Cancel before firing.
@@ -173,29 +179,30 @@ func (e *Engine) Rescheduled() uint64 { return e.rescheduled }
 
 // Pending returns the number of live events waiting in the queue.
 // Cancelled events are removed eagerly, so they never count.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // SetLimit installs a guard: Run returns ErrEventLimit after n events.
 // n = 0 removes the guard.
 func (e *Engine) SetLimit(n uint64) { e.limit = n }
 
-// alloc takes an event from the free list, or grows the pool.
-func (e *Engine) alloc() *event {
+// alloc takes a slot from the free list, or grows the table.
+func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
+		s := e.free[n-1]
 		e.free = e.free[:n-1]
-		return ev
+		return s
 	}
-	return &event{eng: e}
+	e.slots = append(e.slots, slot{})
+	return int32(len(e.slots) - 1)
 }
 
-// recycle invalidates outstanding Handles for ev and returns it to the
-// free list. The caller must have already unlinked ev from the heap.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	ev.gen++
-	e.free = append(e.free, ev)
+// recycle invalidates outstanding Handles for slot s and returns it to the
+// free list. The caller must have already unlinked it from the heap.
+func (e *Engine) recycle(s int32) {
+	sl := &e.slots[s]
+	sl.fn = nil
+	sl.gen++
+	e.free = append(e.free, s)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -207,13 +214,13 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
-	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
-	ev.fn = fn
+	s := e.alloc()
+	sl := &e.slots[s]
+	sl.fn = fn
+	e.heap = append(e.heap, entry{at: t, seq: e.seq, slot: s})
 	e.seq++
-	heap.Push(&e.events, ev)
-	return Handle{ev: ev, gen: ev.gen}
+	e.up(len(e.heap) - 1)
+	return Handle{eng: e, slot: s, gen: sl.gen}
 }
 
 // After schedules fn to run d seconds from now.
@@ -253,7 +260,7 @@ func (e *Engine) ArmFlush() {
 // flushDue reports whether the armed flush must run now: the current
 // instant is over when no remaining event shares the current timestamp.
 func (e *Engine) flushDue() bool {
-	return e.flushArmed && (len(e.events) == 0 || e.events[0].at > e.now)
+	return e.flushArmed && (len(e.heap) == 0 || e.heap[0].at > e.now)
 }
 
 func (e *Engine) runFlush() {
@@ -268,7 +275,7 @@ func (e *Engine) Run() error {
 			e.runFlush()
 			continue
 		}
-		if len(e.events) == 0 {
+		if len(e.heap) == 0 {
 			return nil
 		}
 		if err := e.step(); err != nil {
@@ -286,7 +293,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 			e.runFlush()
 			continue
 		}
-		if len(e.events) == 0 || e.events[0].at > deadline {
+		if len(e.heap) == 0 || e.heap[0].at > deadline {
 			break
 		}
 		if err := e.step(); err != nil {
@@ -300,21 +307,85 @@ func (e *Engine) RunUntil(deadline Time) error {
 }
 
 func (e *Engine) step() error {
-	ev := heap.Pop(&e.events).(*event)
-	if ev.at < e.now {
+	top := e.heap[0]
+	e.remove(0)
+	if top.at < e.now {
 		panic("sim: event queue time went backwards")
 	}
-	e.now = ev.at
+	e.now = top.at
 	e.processed++
 	if e.limit != 0 && e.processed > e.limit {
-		e.recycle(ev)
+		e.recycle(top.slot)
 		return fmt.Errorf("%w: %d events at t=%v", ErrEventLimit, e.processed, e.now)
 	}
 	// Recycle before firing: the slot is free for reuse by events the
 	// callback schedules, while the bumped gen keeps the fired event's own
 	// Handles stale.
-	fn := ev.fn
-	e.recycle(ev)
+	fn := e.slots[top.slot].fn
+	e.recycle(top.slot)
 	fn()
 	return nil
+}
+
+// place stores x at heap index i and records the position in its slot.
+func (e *Engine) place(i int, x entry) {
+	e.heap[i] = x
+	e.slots[x.slot].pos = int32(i)
+}
+
+// up sifts the entry at i toward the root.
+func (e *Engine) up(i int) {
+	x := e.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(e.heap[p]) {
+			break
+		}
+		e.place(i, e.heap[p])
+		i = p
+	}
+	e.place(i, x)
+}
+
+// down sifts the entry at i toward the leaves and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	h := e.heap
+	n := len(h)
+	x := h[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(x) {
+			break
+		}
+		e.place(i, h[c])
+		i = c
+	}
+	e.place(i, x)
+	return i > start
+}
+
+// fix restores heap order after the key at i changed.
+func (e *Engine) fix(i int) {
+	if !e.down(i) {
+		e.up(i)
+	}
+}
+
+// remove unlinks the entry at heap index i.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	e.place(i, last)
+	e.fix(i)
 }

@@ -15,11 +15,11 @@ func TestRescheduleMatchesCancelPlusAfter(t *testing.T) {
 		peerAt Time // then schedule a peer event here
 	}
 	scripts := [][]op{
-		{{moveTo: 5, peerAt: 5}},                              // move then peer at same time: event first
-		{{moveTo: 5, peerAt: 3}, {moveTo: 3, peerAt: 5}},      // move past a peer
-		{{moveTo: 9, peerAt: 9}, {moveTo: 9, peerAt: 9}},      // repeated same-time moves
-		{{moveTo: 2, peerAt: 2}, {moveTo: 7, peerAt: 2}},      // move away after tying
-		{{moveTo: 4, peerAt: 6}, {moveTo: 4, peerAt: 4}},      // reschedule to the same time
+		{{moveTo: 5, peerAt: 5}},                         // move then peer at same time: event first
+		{{moveTo: 5, peerAt: 3}, {moveTo: 3, peerAt: 5}}, // move past a peer
+		{{moveTo: 9, peerAt: 9}, {moveTo: 9, peerAt: 9}}, // repeated same-time moves
+		{{moveTo: 2, peerAt: 2}, {moveTo: 7, peerAt: 2}}, // move away after tying
+		{{moveTo: 4, peerAt: 6}, {moveTo: 4, peerAt: 4}}, // reschedule to the same time
 		{{moveTo: 1, peerAt: 1}, {moveTo: 1, peerAt: 8}, {moveTo: 8, peerAt: 8}},
 	}
 	for si, script := range scripts {

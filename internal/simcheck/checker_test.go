@@ -272,8 +272,8 @@ func TestCheckerErrTruncation(t *testing.T) {
 // execution.
 func TestCheckerDoesNotPerturbRun(t *testing.T) {
 	sc := Scenario{
-		Spec: checkerTopoSpec(),
-		Seed: 42,
+		Spec:  checkerTopoSpec(),
+		Seed:  42,
 		Sched: SchedGen{Kind: 1}, // a stealing scheduler
 		Loops: []LoopGen{{Iters: 32, Tasks: 16, ComputePerIter: 1e-6, Imbalance: 0.5, StreamBytes: 4096}},
 		Steps: 2,

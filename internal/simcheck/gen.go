@@ -122,8 +122,8 @@ func GenTopoSpec(src Source) topology.Spec {
 			break
 		}
 	}
-	same := 1 + src.Float64()            // [1, 2)
-	cross := same + 0.1 + src.Float64()  // > same
+	same := 1 + src.Float64()           // [1, 2)
+	cross := same + 0.1 + src.Float64() // > same
 	return topology.Spec{
 		Sockets:             sockets,
 		NodesPerSocket:      nps,

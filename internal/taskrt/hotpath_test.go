@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/ilan-sched/ilan/internal/machine"
@@ -15,9 +16,9 @@ type silentScheduler struct {
 	plan func(rt *Runtime, spec *LoopSpec) *Plan
 }
 
-func (s *silentScheduler) Name() string                            { return "silent" }
+func (s *silentScheduler) Name() string                                      { return "silent" }
 func (s *silentScheduler) Plan(rt *Runtime, l *LoopSpec, _ *Occupancy) *Plan { return s.plan(rt, l) }
-func (s *silentScheduler) Observe(*Runtime, *LoopSpec, *LoopStats) {}
+func (s *silentScheduler) Observe(*Runtime, *LoopSpec, *LoopStats)           {}
 
 // loopAllocs measures the average allocations of one full loop execution
 // (submission through barrier) on a warmed runtime.
@@ -33,22 +34,19 @@ func loopAllocs(t *testing.T, plan func(*Runtime, *LoopSpec) *Plan, spec *LoopSp
 	})
 }
 
-// TestDispatchAllocsAreZero pins the dispatch/steal hot path at zero
-// allocations per task: quadrupling the task count must not change the
-// per-loop allocation count at all — every allocation left is loop-scoped
-// (plan, stats, counters), not dispatch-scoped. Task execution closures
-// (the workload's Demand) are excluded by construction: the compute-only
-// demand function allocates nothing.
+// TestDispatchAllocsAreZero pins a whole loop execution on a warmed
+// runtime at zero allocations, whatever its task count: the plan comes
+// from NewPlan, and the execution record with its stats, victim partition
+// and task array comes from the runtime's pool, so neither the loop nor
+// its dispatches allocate. Task execution closures (the workload's
+// Demand) are excluded by construction: the compute-only demand function
+// allocates nothing.
 func TestDispatchAllocsAreZero(t *testing.T) {
 	small := loopAllocs(t, spreadPlan, computeLoop(1, 256, 256, 1e-8))
 	big := loopAllocs(t, spreadPlan, computeLoop(1, 1024, 1024, 1e-8))
 	t.Logf("per-loop allocs: 256 tasks = %g, 1024 tasks = %g", small, big)
-	if big != small {
-		t.Fatalf("per-loop allocs grew with task count: 256 tasks = %g, 1024 tasks = %g "+
-			"(dispatch path must allocate 0 per task)", small, big)
-	}
-	if small > 50 {
-		t.Fatalf("per-loop constant allocs = %g, want a small constant (< 50)", small)
+	if small != 0 || big != 0 {
+		t.Fatalf("per-loop allocs: 256 tasks = %g, 1024 tasks = %g, want 0", small, big)
 	}
 }
 
@@ -68,13 +66,11 @@ func TestStealPathAllocsAreZero(t *testing.T) {
 // chunked-transfer variant of the steal path.
 func TestChunkedStealAllocsAreZero(t *testing.T) {
 	chunkedPlan := func(rt *Runtime, spec *LoopSpec) *Plan {
-		p := &Plan{
-			Active:         allCores(rt.Topology().NumCores()),
-			Place:          make([]TaskPlacement, 0, spec.Tasks),
-			Mode:           StealHierarchical,
-			InterNodeSteal: true,
-			StealChunk:     3,
-		}
+		p := rt.NewPlan()
+		p.Active = appendCores(p.Active, rt.Topology().NumCores())
+		p.Mode = StealHierarchical
+		p.InterNodeSteal = true
+		p.StealChunk = 3
 		for ti := 0; ti < spec.Tasks; ti++ {
 			lo, hi := spec.ChunkBounds(ti)
 			p.Place = append(p.Place, TaskPlacement{Lo: lo, Hi: hi, Core: 0})
@@ -91,24 +87,24 @@ func TestChunkedStealAllocsAreZero(t *testing.T) {
 
 // TestShuffledVictimsMatchesPermDrawOrder pins the RNG draw-order
 // contract: the in-place Fisher–Yates over the scratch buffer must visit
-// victims in exactly the order the old Perm-based scan did, consuming the
-// identical Intn sequence — this is what keeps campaign outputs
+// victim cores in exactly the order the old Perm-based scan did, consuming
+// the identical Intn sequence — this is what keeps campaign outputs
 // byte-identical across the zero-allocation rewrite.
 func TestShuffledVictimsMatchesPermDrawOrder(t *testing.T) {
 	rt := newTestRuntime(t, &silentScheduler{plan: spreadPlan})
-	pool := rt.threads[:7]
+	pool := []int32{0, 1, 2, 3, 4, 5, 6}
 
 	for seed := uint64(1); seed <= 5; seed++ {
 		// Reference: the pre-rewrite formulation (fresh slice + Perm).
 		ref := sim.NewRNG(seed)
-		var want []*thread
-		base := append([]*thread(nil), pool...)
+		var want []int32
+		base := append([]int32(nil), pool...)
 		for _, i := range ref.Perm(len(base)) {
 			want = append(want, base[i])
 		}
 
 		rt.rng = sim.NewRNG(seed)
-		got := rt.shuffledVictims(rt.threads[8], pool, nil)
+		got := rt.shuffledVictims(pool, -1)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: got %d victims, want %d", seed, len(got), len(want))
 		}
@@ -327,11 +323,13 @@ func TestChunkedStealDrainsVictimMidChunk(t *testing.T) {
 }
 
 // TestVictimPartitionMatchesPlan checks the plan-scoped victim partition:
-// every active thread appears exactly once in flat, once in its node's
-// local list, and in every other node's remote list — in plan order.
+// flat lists every active core in plan order, each node's local list its
+// own active cores and its remote list every other active core, both in
+// plan order too. The second plan is narrower and runs on the pooled
+// record the first one left, so the rebuild over a reused array is
+// checked as well.
 func TestVictimPartitionMatchesPlan(t *testing.T) {
-	// Active = a scattered subset, deliberately not in core order.
-	active := []int{5, 0, 12, 3, 9, 14}
+	var active []int
 	plan := func(rt *Runtime, spec *LoopSpec) *Plan {
 		p := &Plan{
 			Active: active,
@@ -345,40 +343,41 @@ func TestVictimPartitionMatchesPlan(t *testing.T) {
 		return p
 	}
 	rt := newTestRuntime(t, &silentScheduler{plan: plan})
-	rt.SubmitLoop(computeLoop(1, 12, 12, 1e-6), nil)
-
-	if len(rt.execs) != 1 {
-		t.Fatalf("in-flight table has %d executions, want 1", len(rt.execs))
-	}
-	v := &rt.execs[0].victims
-	if len(v.flat) != len(active) {
-		t.Fatalf("flat has %d entries, want %d", len(v.flat), len(active))
-	}
-	for i, c := range active {
-		if v.flat[i].core != c {
-			t.Fatalf("flat[%d] = core %d, want %d (plan order)", i, v.flat[i].core, c)
+	// Scattered subsets, deliberately not in core order.
+	for _, a := range [][]int{{5, 0, 12, 3, 9, 14}, {13, 2, 7}} {
+		active = a
+		rt.SubmitLoop(computeLoop(1, 12, 12, 1e-6), nil)
+		if len(rt.execs) != 1 {
+			t.Fatalf("in-flight table has %d executions, want 1", len(rt.execs))
 		}
-	}
-	for n := range v.localByNode {
-		seen := 0
-		for _, th := range v.localByNode[n] {
-			if th.node != n {
-				t.Fatalf("node %d local list contains core %d of node %d", n, th.core, th.node)
+		v := &rt.execs[0].victims
+		same := func(what string, got []int32, want []int) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("active %v: %s = %v, want %v", a, what, got, want)
 			}
-			seen++
-		}
-		for _, th := range v.remoteByNode[n] {
-			if th.node == n {
-				t.Fatalf("node %d remote list contains its own core %d", n, th.core)
+			for i := range want {
+				if int(got[i]) != want[i] {
+					t.Fatalf("active %v: %s = %v, want %v", a, what, got, want)
+				}
 			}
-			seen++
 		}
-		if seen != len(active) {
-			t.Fatalf("node %d partition covers %d threads, want %d", n, seen, len(active))
+		same("flat", v.flat, a)
+		for n := 0; n < rt.Topology().NumNodes(); n++ {
+			var local, remote []int
+			for _, c := range a {
+				if rt.Topology().NodeOfCore(c) == n {
+					local = append(local, c)
+				} else {
+					remote = append(remote, c)
+				}
+			}
+			same(fmt.Sprintf("node %d local", n), v.localByNode[n], local)
+			same(fmt.Sprintf("node %d remote", n), v.remoteByNode[n], remote)
 		}
-	}
-	if err := rt.Machine().Engine().Run(); err != nil {
-		t.Fatal(err)
+		if err := rt.Machine().Engine().Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -52,12 +52,21 @@ type Runtime struct {
 	sched Scheduler
 	rng   *sim.RNG
 
-	threads []*thread
+	threads []thread
 	// execs is the table of in-flight loop executions in submission
 	// order, keyed by their execution IDs (loopExec.id). Concurrent
 	// entries hold disjoint core sets.
 	execs      []*loopExec
 	nextExecID int
+	// execFree and planFree pool completed execution records and the
+	// NewPlan-issued plans they ran. Both return here only after the
+	// loop's done callback and the scheduler's Observe have returned
+	// (completeLoop), so a steady-state loop allocates nothing.
+	execFree []*loopExec
+	planFree []*Plan
+	// victimScratch is the buffer steal scans shuffle victim cores in; a
+	// scan finishes before the next one starts, so one serves every thread.
+	victimScratch []int32
 	// occ is the reusable occupancy view assembled for each Plan call.
 	occ    Occupancy
 	energy machine.EnergyModel
@@ -91,15 +100,21 @@ type Runtime struct {
 	loopExecutions    int
 }
 
-// victimSet is a plan-scoped partition of the active threads, precomputed
+// victimSet is a plan-scoped partition of the active cores, precomputed
 // at SubmitLoop. Entries preserve plan.Active order, which the
 // draw-order-preserving shuffle in trySteal depends on (see DESIGN.md).
 // Each in-flight execution carries its own partition, so concurrent loops
-// steal strictly within their own active sets.
+// steal strictly within their own active sets. Entries are core indices,
+// not *thread, so building and shuffling them writes no pointers.
 type victimSet struct {
-	flat         []*thread   // all active threads (StealFlat scans these)
-	localByNode  [][]*thread // active threads on each node
-	remoteByNode [][]*thread // active threads on every other node
+	flat         []int32   // all active cores (StealFlat scans these)
+	localByNode  [][]int32 // active cores on each node
+	remoteByNode [][]int32 // active cores on every other node
+	// back is the one array every group above slices; count holds the
+	// per-node active counts and fill cursors. Both persist across the
+	// executions of a pooled record.
+	back  []int32
+	count []int
 }
 
 type thread struct {
@@ -124,10 +139,6 @@ type thread struct {
 	curFrom   int // victim core of a stolen task, -1 otherwise
 	curStart  sim.Time
 
-	// scratch holds the victim order being shuffled for this thread's
-	// steal scans; it is reused across attempts.
-	scratch []*thread
-
 	// Pre-bound callbacks (created once in New): the wake->dispatch hop,
 	// the dispatch-cost delay, and the machine's task-done notification.
 	dispatchFn sim.Event
@@ -135,17 +146,21 @@ type thread struct {
 	taskDoneFn func()
 }
 
+// loopExec is the record of one in-flight loop execution. Records are
+// pooled (Runtime.execFree): the buffers below the per-execution state
+// keep their capacity from one execution to the next.
 type loopExec struct {
-	id          int // execution ID: the in-flight table key
-	spec        *LoopSpec
-	plan        *Plan
-	remaining   int
-	start       sim.Time
-	startJoules float64
-	exec        int // per-loop execution ordinal for tracing
-	startCtrs   machine.Counters
-	st          LoopStats
-	done        func(*LoopStats)
+	id           int // execution ID: the in-flight table key
+	spec         *LoopSpec
+	plan         *Plan
+	remaining    int
+	start        sim.Time
+	startJoules  float64
+	exec         int // per-loop execution ordinal for tracing
+	startCompute float64
+	startMemory  float64
+	st           LoopStats
+	done         func(*LoopStats)
 
 	// victims is this execution's victim partition; tasks is its task
 	// backing store. Both are execution-scoped so that concurrent loops
@@ -153,7 +168,7 @@ type loopExec struct {
 	victims victimSet
 	tasks   []Task
 
-	// Pre-bound lifecycle events (created once per execution): the
+	// Pre-bound lifecycle events (created once per record): the
 	// post-setup task release and the post-barrier completion.
 	releaseFn  sim.Event
 	loopDoneFn sim.Event
@@ -186,22 +201,23 @@ func New(mach *machine.Machine, sched Scheduler, costs Costs) *Runtime {
 		energy: machine.DefaultEnergy(),
 	}
 	nCores := rt.topo.NumCores()
-	for c := 0; c < nCores; c++ {
-		th := &thread{
-			core: c,
-			node: rt.topo.NodeOfCore(c),
-			idle: true,
-			// Capacities are fixed up front so the steal path never grows
-			// them mid-campaign: the shuffle scratch holds at most every
-			// active thread, and the deque start covers chunked-steal
-			// transfers (releaseTasks warms wider master queues once).
-			deque:   make([]*Task, 0, 16),
-			scratch: make([]*thread, 0, nCores),
-		}
+	// Capacities are fixed up front so the steal path never grows them
+	// mid-campaign: the shuffle scratch holds at most every active core,
+	// and each deque's start covers chunked-steal transfers (releaseTasks
+	// warms wider master queues once). The deques share one array.
+	const dequeCap = 16
+	rt.threads = make([]thread, nCores)
+	rt.victimScratch = make([]int32, nCores)
+	deques := make([]*Task, nCores*dequeCap)
+	for c := range rt.threads {
+		th := &rt.threads[c]
+		th.core = c
+		th.node = rt.topo.NodeOfCore(c)
+		th.idle = true
+		th.deque = deques[c*dequeCap : c*dequeCap : (c+1)*dequeCap]
 		th.dispatchFn = func() { rt.dispatch(th) }
 		th.execFn = func() { rt.execTask(th) }
 		th.taskDoneFn = func() { rt.taskDone(th) }
-		rt.threads = append(rt.threads, th)
 	}
 	return rt
 }
@@ -222,12 +238,34 @@ func (rt *Runtime) SetEnergyModel(em machine.EnergyModel) { rt.energy = em }
 // EnergyModel returns the runtime's energy model.
 func (rt *Runtime) EnergyModel() machine.EnergyModel { return rt.energy }
 
-// SubmitLoop starts one taskloop execution. done fires after the barrier.
-// Executions from different programs may be in flight concurrently as long
-// as their plans are core-disjoint; a plan claiming a held core panics at
-// validation. Within one program, loops still serialize through their
-// barriers (RunProgram / the workload admission queue submit the next loop
-// only from the previous loop's done callback).
+// NewPlan returns an empty plan for a Scheduler's Plan method to fill.
+// Its Active and Place slices are empty but keep the capacity of the
+// executions the plan served before. The runtime takes a plan it issued
+// back once the execution it was returned for has completed — after the
+// loop's done callback and the scheduler's Observe have returned — and
+// issues it again, so a scheduler must not keep it past that point. A
+// plan built any other way is never recycled.
+func (rt *Runtime) NewPlan() *Plan {
+	n := len(rt.planFree)
+	if n == 0 {
+		return &Plan{issued: true}
+	}
+	p := rt.planFree[n-1]
+	rt.planFree = rt.planFree[:n-1]
+	*p = Plan{Active: p.Active[:0], Place: p.Place[:0], issued: true}
+	return p
+}
+
+// SubmitLoop starts one taskloop execution. done fires after the barrier
+// with the loop's statistics, which stay valid only until done returns
+// (see LoopStats). Executions from different programs may be in flight
+// concurrently as long as their plans are core-disjoint; a plan claiming
+// a held core panics at validation. Within one program, loops still
+// serialize through their barriers (RunProgram / the workload admission
+// queue submit the next loop only from the previous loop's done
+// callback). The execution record comes from the runtime's pool, so on a
+// warmed runtime whose scheduler plans through NewPlan a loop allocates
+// nothing.
 func (rt *Runtime) SubmitLoop(spec *LoopSpec, done func(*LoopStats)) {
 	if err := spec.Validate(); err != nil {
 		panic(err)
@@ -242,25 +280,20 @@ func (rt *Runtime) SubmitLoop(spec *LoopSpec, done func(*LoopStats)) {
 		rt.probe.LoopStart(spec, plan)
 	}
 
-	le := &loopExec{
-		id:          rt.nextExecID,
-		spec:        spec,
-		plan:        plan,
-		remaining:   len(plan.Place),
-		start:       rt.eng.Now(),
-		startJoules: rt.mach.EnergyJoules(rt.energy),
-		done:        done,
-	}
+	le := rt.newExec()
+	le.id = rt.nextExecID
+	le.spec = spec
+	le.plan = plan
+	le.remaining = len(plan.Place)
+	le.start = rt.eng.Now()
+	le.startJoules = rt.mach.EnergyJoules(rt.energy)
+	le.done = done
 	rt.nextExecID++
-	le.releaseFn = func() { rt.releaseTasks(le) }
-	le.loopDoneFn = func() { rt.completeLoop(le) }
-	le.st.NodeTaskSeconds = make([]float64, rt.topo.NumNodes())
-	le.st.NodeTasks = make([]int, rt.topo.NumNodes())
 	le.st.ActiveThreads = len(plan.Active)
 	if rt.trace != nil {
 		le.exec = rt.trace.beginLoop(spec)
 	}
-	le.startCtrs = rt.mach.Counters()
+	le.startCompute, le.startMemory = rt.mach.TimeSplit()
 	rt.execs = append(rt.execs, le)
 	for _, c := range plan.Active {
 		rt.threads[c].exec = le
@@ -272,6 +305,34 @@ func (rt *Runtime) SubmitLoop(spec *LoopSpec, done func(*LoopStats)) {
 	rt.chargeOverhead(le, float64(setup))
 
 	rt.eng.After(setup, le.releaseFn)
+}
+
+// newExec takes an execution record from the pool, reset for a new
+// execution, or builds one with its callbacks bound.
+func (rt *Runtime) newExec() *loopExec {
+	n := len(rt.execFree)
+	if n == 0 {
+		le := &loopExec{}
+		le.releaseFn = func() { rt.releaseTasks(le) }
+		le.loopDoneFn = func() { rt.completeLoop(le) }
+		nNodes := rt.topo.NumNodes()
+		le.st.NodeTaskSeconds = make([]float64, nNodes)
+		le.st.NodeTasks = make([]int, nNodes)
+		return le
+	}
+	le := rt.execFree[n-1]
+	rt.execFree = rt.execFree[:n-1]
+	st := LoopStats{NodeTaskSeconds: le.st.NodeTaskSeconds, NodeTasks: le.st.NodeTasks}
+	clear(st.NodeTaskSeconds)
+	clear(st.NodeTasks)
+	*le = loopExec{
+		st:         st,
+		victims:    le.victims,
+		tasks:      le.tasks,
+		releaseFn:  le.releaseFn,
+		loopDoneFn: le.loopDoneFn,
+	}
+	return le
 }
 
 // occupancy assembles the live occupancy view over the in-flight table.
@@ -313,42 +374,58 @@ func (rt *Runtime) freeCores() int {
 // buildVictims computes the execution's victim partition. Partitions are
 // plan-scoped: Active is fixed for the whole loop, so the grouping never
 // changes between steal attempts — only the scan order does, and that is
-// (re)drawn per attempt over the per-thread scratch buffer.
+// (re)drawn per attempt over the runtime's shuffle scratch. One backing
+// array holds flat, then the local groups (which partition Active), then
+// the remote groups (which tile it once per other node); a pooled record
+// reuses it, so only a wider plan than any before allocates.
 func (le *loopExec) buildVictims(rt *Runtime) {
 	nNodes := rt.topo.NumNodes()
-	nActive := len(le.plan.Active)
+	active := le.plan.Active
+	nActive := len(active)
 	v := &le.victims
-	v.flat = make([]*thread, 0, nActive)
-	v.localByNode = make([][]*thread, nNodes)
-	v.remoteByNode = make([][]*thread, nNodes)
-	// Two shared backing arrays keep the partition's allocation count
-	// independent of both the active-set size and the node count: the
-	// local groups partition Active, the remote groups tile it once per
-	// other node.
-	localBack := make([]*thread, 0, nActive)
-	remoteBack := make([]*thread, 0, nActive*(nNodes-1))
-	perNode := make([]int, nNodes)
-	for _, c := range le.plan.Active {
-		perNode[rt.threads[c].node]++
+	if len(v.count) != 2*nNodes {
+		v.count = make([]int, 2*nNodes)
+		v.localByNode = make([][]int32, nNodes)
+		v.remoteByNode = make([][]int32, nNodes)
 	}
-	for n := 0; n < nNodes; n++ {
-		lo := len(localBack)
-		v.localByNode[n] = localBack[lo : lo : lo+perNode[n]]
-		localBack = localBack[:lo+perNode[n]]
-		ro := len(remoteBack)
-		v.remoteByNode[n] = remoteBack[ro : ro : ro+nActive-perNode[n]]
-		remoteBack = remoteBack[:ro+nActive-perNode[n]]
+	if need := nActive * (nNodes + 1); cap(v.back) < need {
+		v.back = make([]int32, need)
 	}
-	for _, c := range le.plan.Active {
-		th := rt.threads[c]
-		v.flat = append(v.flat, th)
+	back := v.back[:cap(v.back)]
+	// prefix[n] counts the active cores on nodes below n; seen[n] counts
+	// those on node n placed so far (and ends as n's total).
+	prefix, seen := v.count[:nNodes], v.count[nNodes:]
+	clear(seen)
+	for _, c := range active {
+		seen[rt.threads[c].node]++
+	}
+	sum := 0
+	for n := range prefix {
+		prefix[n] = sum
+		sum += seen[n]
+	}
+	clear(seen)
+	// Node n's local group starts after flat and the lower nodes' local
+	// groups; its remote group after every local group and the lower
+	// nodes' remote groups, which hold nActive-perNode entries each.
+	for i, c := range active {
+		core, node := int32(c), rt.threads[c].node
+		back[i] = core
 		for n := 0; n < nNodes; n++ {
-			if th.node == n {
-				v.localByNode[n] = append(v.localByNode[n], th)
+			if n == node {
+				back[nActive+prefix[n]+seen[n]] = core
 			} else {
-				v.remoteByNode[n] = append(v.remoteByNode[n], th)
+				back[(2+n)*nActive-prefix[n]+i-seen[n]] = core
 			}
 		}
+		seen[node]++
+	}
+	v.flat = back[:nActive:nActive]
+	for n := 0; n < nNodes; n++ {
+		l := nActive + prefix[n]
+		v.localByNode[n] = back[l : l+seen[n] : l+seen[n]]
+		r := (2+n)*nActive - prefix[n]
+		v.remoteByNode[n] = back[r : r+nActive-seen[n] : r+nActive-seen[n]]
 	}
 }
 
@@ -364,7 +441,7 @@ func (rt *Runtime) releaseTasks(le *loopExec) {
 	}
 	tasks := le.tasks[:len(plan.Place)]
 	for i, tp := range plan.Place {
-		th := rt.threads[tp.Core]
+		th := &rt.threads[tp.Core]
 		tasks[i] = Task{Lo: tp.Lo, Hi: tp.Hi, Strict: tp.Strict, Home: th.node}
 		th.deque = append(th.deque, &tasks[i])
 	}
@@ -375,7 +452,7 @@ func (rt *Runtime) releaseTasks(le *loopExec) {
 
 // wake schedules a dispatch attempt for an idle thread.
 func (rt *Runtime) wake(core int) {
-	th := rt.threads[core]
+	th := &rt.threads[core]
 	if !th.idle || th.pending {
 		return
 	}
@@ -496,7 +573,7 @@ func (rt *Runtime) taskDone(th *thread) {
 		rt.trace.record(TaskEvent{
 			LoopID: le.spec.ID, LoopName: le.spec.Name, Exec: le.exec,
 			Program: le.spec.Program,
-			Lo: task.Lo, Hi: task.Hi, Core: th.core, Node: th.node,
+			Lo:      task.Lo, Hi: task.Hi, Core: th.core, Node: th.node,
 			StartSec: float64(th.curStart), EndSec: float64(rt.eng.Now()),
 			Stolen: th.curStolen, Remote: th.curRemote,
 			Strict: task.Strict, FromCore: th.curFrom,
@@ -558,9 +635,9 @@ func (rt *Runtime) finishLoop(le *loopExec) {
 func (rt *Runtime) completeLoop(le *loopExec) {
 	le.st.Elapsed = rt.eng.Now() - le.start
 	le.st.EnergyJoules = rt.mach.EnergyJoules(rt.energy) - le.startJoules
-	endCtrs := rt.mach.Counters()
-	le.st.ComputeSeconds = endCtrs.ComputeSeconds - le.startCtrs.ComputeSeconds
-	le.st.MemorySeconds = endCtrs.MemorySeconds - le.startCtrs.MemorySeconds
+	compute, memory := rt.mach.TimeSplit()
+	le.st.ComputeSeconds = compute - le.startCompute
+	le.st.MemorySeconds = memory - le.startMemory
 	if rt.attrOn {
 		rt.attrCompleteLoop(le)
 	}
@@ -580,7 +657,7 @@ func (rt *Runtime) completeLoop(le *loopExec) {
 		}
 	}
 	for _, c := range le.plan.Active {
-		if th := rt.threads[c]; th.exec == le {
+		if th := &rt.threads[c]; th.exec == le {
 			th.exec = nil
 		}
 	}
@@ -591,6 +668,12 @@ func (rt *Runtime) completeLoop(le *loopExec) {
 	if le.done != nil {
 		le.done(&le.st)
 	}
+	// Only now, with Observe and done returned, may the record and the
+	// plan serve another execution.
+	if le.plan.issued {
+		rt.planFree = append(rt.planFree, le.plan)
+	}
+	rt.execFree = append(rt.execFree, le)
 }
 
 func (rt *Runtime) chargeOverhead(le *loopExec, sec float64) {
@@ -600,20 +683,20 @@ func (rt *Runtime) chargeOverhead(le *loopExec, sec float64) {
 	}
 }
 
-// shuffledVictims copies src (minus skip, when non-nil) into th's scratch
-// buffer and shuffles it in place with a Fisher–Yates that performs the
-// exact Intn draw sequence of sim.RNG.Perm(len(result)). Applying Perm's
-// swap sequence directly to the victim values instead of to an index
-// permutation visits victims in the identical order while allocating
-// nothing — the draw-order contract campaign determinism rests on.
-func (rt *Runtime) shuffledVictims(th *thread, src []*thread, skip *thread) []*thread {
-	s := th.scratch[:0]
+// shuffledVictims copies src (minus skip; -1 skips nothing) into the
+// runtime's scratch buffer and shuffles it in place with a Fisher–Yates
+// that performs the exact Intn draw sequence of sim.RNG.Perm(len(result)).
+// Applying Perm's swap sequence directly to the victim values instead of
+// to an index permutation visits victims in the identical order while
+// allocating nothing — the draw-order contract campaign determinism rests
+// on.
+func (rt *Runtime) shuffledVictims(src []int32, skip int32) []int32 {
+	s := rt.victimScratch[:0]
 	for _, v := range src {
 		if v != skip {
 			s = append(s, v)
 		}
 	}
-	th.scratch = s
 	for i := len(s) - 1; i > 0; i-- {
 		j := rt.rng.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
@@ -636,19 +719,21 @@ func (rt *Runtime) trySteal(th *thread, le *loopExec) (*Task, bool, int, *thread
 		// The shuffle spans every active thread (the thief included, as in
 		// the LLVM runtime's victim draw); the thief skips itself while
 		// scanning.
-		for _, v := range rt.shuffledVictims(th, victims.flat, nil) {
-			if v == th {
+		for _, c := range rt.shuffledVictims(victims.flat, -1) {
+			if int(c) == th.core {
 				continue
 			}
 			scanned++
+			v := &rt.threads[c]
 			if t := v.stealFor(th.node, rt.rng); t != nil {
 				return t, v.node != th.node, scanned, v
 			}
 		}
 		return nil, false, scanned, nil
 	case StealHierarchical:
-		for _, v := range rt.shuffledVictims(th, victims.localByNode[th.node], th) {
+		for _, c := range rt.shuffledVictims(victims.localByNode[th.node], int32(th.core)) {
 			scanned++
+			v := &rt.threads[c]
 			if t := v.stealFor(th.node, rt.rng); t != nil {
 				return t, false, scanned, v
 			}
@@ -657,8 +742,9 @@ func (rt *Runtime) trySteal(th *thread, le *loopExec) (*Task, bool, int, *thread
 		// thief's node is out of queued work: inter-node stealing is
 		// allowed if the plan permits it.
 		if plan.InterNodeSteal {
-			for _, v := range rt.shuffledVictims(th, victims.remoteByNode[th.node], nil) {
+			for _, c := range rt.shuffledVictims(victims.remoteByNode[th.node], -1) {
 				scanned++
+				v := &rt.threads[c]
 				if t := v.stealFor(th.node, rt.rng); t != nil {
 					return t, true, scanned, v
 				}

@@ -11,17 +11,18 @@ import (
 )
 
 // planScheduler is a test scheduler that returns a fixed plan builder and
-// records observations.
+// records observations. The runtime reuses the stats it hands to Observe,
+// so the record keeps copies.
 type planScheduler struct {
 	name     string
 	plan     func(rt *Runtime, spec *LoopSpec) *Plan
-	observed []*LoopStats
+	observed []LoopStats
 }
 
-func (s *planScheduler) Name() string                        { return s.name }
+func (s *planScheduler) Name() string                                      { return s.name }
 func (s *planScheduler) Plan(rt *Runtime, l *LoopSpec, _ *Occupancy) *Plan { return s.plan(rt, l) }
 func (s *planScheduler) Observe(_ *Runtime, _ *LoopSpec, st *LoopStats) {
-	s.observed = append(s.observed, st)
+	s.observed = append(s.observed, *st)
 }
 
 // allCores returns 0..n-1.
@@ -33,10 +34,20 @@ func allCores(n int) []int {
 	return out
 }
 
+// appendCores appends 0..n-1 to dst.
+func appendCores(dst []int, n int) []int {
+	for c := 0; c < n; c++ {
+		dst = append(dst, c)
+	}
+	return dst
+}
+
 // spreadPlan distributes tasks round-robin over all cores, flat stealing.
 func spreadPlan(rt *Runtime, spec *LoopSpec) *Plan {
 	n := rt.Topology().NumCores()
-	p := &Plan{Active: allCores(n), Place: make([]TaskPlacement, 0, spec.Tasks), Mode: StealFlat}
+	p := rt.NewPlan()
+	p.Active = appendCores(p.Active, n)
+	p.Mode = StealFlat
 	for t := 0; t < spec.Tasks; t++ {
 		lo, hi := spec.ChunkBounds(t)
 		p.Place = append(p.Place, TaskPlacement{Lo: lo, Hi: hi, Core: t % n})
@@ -46,11 +57,9 @@ func spreadPlan(rt *Runtime, spec *LoopSpec) *Plan {
 
 // masterQueuePlan puts every task on core 0 (the LLVM taskloop shape).
 func masterQueuePlan(rt *Runtime, spec *LoopSpec) *Plan {
-	p := &Plan{
-		Active: allCores(rt.Topology().NumCores()),
-		Place:  make([]TaskPlacement, 0, spec.Tasks),
-		Mode:   StealFlat,
-	}
+	p := rt.NewPlan()
+	p.Active = appendCores(p.Active, rt.Topology().NumCores())
+	p.Mode = StealFlat
 	for t := 0; t < spec.Tasks; t++ {
 		lo, hi := spec.ChunkBounds(t)
 		p.Place = append(p.Place, TaskPlacement{Lo: lo, Hi: hi, Core: 0})

@@ -19,7 +19,11 @@ import (
 
 // DemandFunc describes the work of iterations [lo, hi) of a taskloop: the
 // private compute seconds and the memory accesses the chunk performs.
-// Implementations must be pure: the runtime may call them in any order.
+// Implementations must be deterministic in (lo, hi): the runtime may call
+// them in any order. The returned slice is valid until the next call of
+// the same function, which may reuse its backing array; the runtime hands
+// it straight to Machine.Exec, which resolves it at once. Because of that
+// reuse, a LoopSpec is not safe for concurrent use.
 type DemandFunc func(lo, hi int) (computeSec float64, accesses []memsys.Access)
 
 // LoopSpec is a static description of one source-level taskloop. The same
@@ -141,6 +145,10 @@ type Plan struct {
 	// Owner names the program the plan schedules for. The runtime stamps
 	// it from LoopSpec.Program at submission; schedulers need not set it.
 	Owner string
+
+	// issued marks a plan Runtime.NewPlan handed out, which the runtime
+	// recycles once its execution completes.
+	issued bool
 }
 
 // Validate checks the plan against a spec, the machine's core count, and
@@ -165,19 +173,26 @@ func (p *Plan) Validate(spec *LoopSpec, numCores int, occ *Occupancy) error {
 	if len(p.Active) == 0 {
 		return fmt.Errorf("taskrt: plan for %q has no active cores", spec.Name)
 	}
-	activeSet := make([]bool, numCores)
+	// A bitset on the stack covers machines up to 256 cores, so validating
+	// a plan allocates nothing on the paper platform.
+	var small [4]uint64
+	activeSet := small[:]
+	if words := (numCores + 63) / 64; words > len(small) {
+		activeSet = make([]uint64, words)
+	}
+	isActive := func(c int) bool { return activeSet[c/64]&(1<<(c%64)) != 0 }
 	for _, c := range p.Active {
 		if c < 0 || c >= numCores {
 			return fmt.Errorf("taskrt: plan active core %d out of range", c)
 		}
-		if activeSet[c] {
+		if isActive(c) {
 			return fmt.Errorf("taskrt: plan lists core %d twice", c)
 		}
 		if occ.Held(c) {
 			return fmt.Errorf("taskrt: plan for %q claims core %d, which a concurrently live loop holds",
 				spec.Name, c)
 		}
-		activeSet[c] = true
+		activeSet[c/64] |= 1 << (c % 64)
 	}
 	if len(p.Place) == 0 {
 		return fmt.Errorf("taskrt: plan for %q has no tasks", spec.Name)
@@ -188,7 +203,7 @@ func (p *Plan) Validate(spec *LoopSpec, numCores int, occ *Occupancy) error {
 			return fmt.Errorf("taskrt: plan task %d range [%d,%d) does not tile (expected lo=%d)",
 				i, tp.Lo, tp.Hi, next)
 		}
-		if !activeSet[tp.Core] {
+		if tp.Core < 0 || tp.Core >= numCores || !isActive(tp.Core) {
 			return fmt.Errorf("taskrt: plan task %d placed on inactive core %d", i, tp.Core)
 		}
 		next = tp.Hi
@@ -200,7 +215,10 @@ func (p *Plan) Validate(spec *LoopSpec, numCores int, occ *Occupancy) error {
 }
 
 // LoopStats is what the runtime measured for one taskloop execution; it is
-// handed to the scheduler's Observe hook (the input to ILAN's PTT).
+// handed to the scheduler's Observe hook (the input to ILAN's PTT), the
+// probe's LoopDone and the SubmitLoop done callback. It is valid during
+// those calls only: the runtime reuses it, per-node slices included, for
+// a later execution, so a caller that keeps it must copy it.
 type LoopStats struct {
 	Elapsed sim.Duration // wall time from submission to barrier
 	// NodeTaskSeconds / NodeTasks give per-NUMA-node execution totals;
@@ -341,7 +359,8 @@ type Scheduler interface {
 	// machine's occupancy at submission (nil-safe; empty for solo runs):
 	// the returned plan's Active set must avoid every held core, and on an
 	// empty occupancy the plan must be identical to the scheduler's
-	// single-program behaviour.
+	// single-program behaviour. A plan filled from rt.NewPlan is reused by
+	// the runtime once the execution completes.
 	Plan(rt *Runtime, spec *LoopSpec, occ *Occupancy) *Plan
 	// Observe is invoked after the loop's barrier with measured statistics.
 	Observe(rt *Runtime, spec *LoopSpec, st *LoopStats)

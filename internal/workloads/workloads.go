@@ -126,6 +126,11 @@ func (d LoopDef) Spec(id int) *taskrt.LoopSpec {
 			return s0.Region.HomeNode(mid)
 		}
 	}
+	// The accesses are written into one slice the closure owns, made on
+	// the first call so that building a program allocates no more: each
+	// call overwrites the previous call's result (see taskrt.DemandFunc).
+	nAcc := len(streams) + len(spans)
+	var scratch []memsys.Access
 	return &taskrt.LoopSpec{
 		ID:    id,
 		Name:  d.Name,
@@ -141,7 +146,10 @@ func (d LoopDef) Spec(id int) *taskrt.LoopSpec {
 					sec += compute * weight(i)
 				}
 			}
-			var acc []memsys.Access
+			if scratch == nil && nAcc > 0 {
+				scratch = make([]memsys.Access, 0, nAcc)
+			}
+			acc := scratch
 			for _, s := range streams {
 				acc = append(acc, memsys.Access{
 					Region:  s.Region,
