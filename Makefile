@@ -41,7 +41,8 @@ cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1
 
 # Coverage-guided fuzzing of the simulator under the invariant checker
-# and metamorphic oracles (DESIGN.md §11), then a randomized soak run.
+# and metamorphic oracles (DESIGN.md §11) and of the looplang document
+# decoder, then a randomized soak run.
 # FUZZTIME bounds each native target; corpora seed from testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpecValidate -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -fuzz=FuzzReferenceSolver -fuzztime=$(FUZZTIME) ./internal/machine
 	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/looplang
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
 # Reproduce every figure and table at paper scale. `-exp all -reps 30

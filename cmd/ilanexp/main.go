@@ -10,6 +10,8 @@
 //	ilanexp -exp all -reps 30        # every figure and table, paper setup
 //	ilanexp -exp all -jobs 8         # same campaign across 8 workers
 //	ilanexp -exp fig6 -bench CG,FT   # subset of benchmarks
+//	ilanexp -exp fig2 -bench @app.json
+//	                                 # a looplang document (package looplang)
 //	ilanexp -exp fig2 -class test    # reduced scale (fast smoke run)
 //	ilanexp -exp sweep -class test -reps 2 -bench CG -param beta
 //	                                 # sensitivity curve (DESIGN.md §5)
@@ -32,6 +34,8 @@ import (
 	"github.com/ilan-sched/ilan/internal/chrometrace"
 	"github.com/ilan-sched/ilan/internal/fsatomic"
 	"github.com/ilan-sched/ilan/internal/harness"
+	"github.com/ilan-sched/ilan/internal/looplang"
+	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/obsserve"
 	"github.com/ilan-sched/ilan/internal/results"
@@ -56,7 +60,7 @@ func main() {
 	reps := flag.Int("reps", 30, "repetitions per (benchmark, scheduler) pair")
 	jobs := flag.Int("jobs", 0, "parallel workers for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	class := flag.String("class", "paper", "benchmark scale: paper|test")
-	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
+	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all); @file runs a looplang document")
 	seed := flag.Uint64("seed", 2025, "base random seed")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	chart := flag.Bool("chart", false, "render results as ASCII bar charts")
@@ -143,7 +147,20 @@ func main() {
 	}
 	if *benchList != "" {
 		req.Benches = nil
+		docs := map[string]bool{}
 		for _, name := range splitList(*benchList) {
+			if path, ok := strings.CutPrefix(name, "@"); ok {
+				b, err := document(path, spec)
+				if err != nil {
+					usage("%v", err)
+				}
+				if _, builtin := workloads.ByName(b.Name); builtin || docs[b.Name] {
+					usage("%s: document name %q is taken by a built-in benchmark or another -bench entry", path, b.Name)
+				}
+				docs[b.Name] = true
+				req.Benches = append(req.Benches, b)
+				continue
+			}
 			b, ok := workloads.ByName(name)
 			if !ok {
 				usage("unknown benchmark %q", name)
@@ -302,6 +319,25 @@ func checkFlags(e *harness.Experiment, set map[string]bool) error {
 		}
 	}
 	return nil
+}
+
+// document reads a -bench @path entry: the looplang document at path, as
+// a benchmark named by the document, which must build on the campaign's
+// topology.
+func document(path string, topo topology.Spec) (workloads.Benchmark, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return workloads.Benchmark{}, err
+	}
+	defer f.Close()
+	doc, err := looplang.Parse(f)
+	if err == nil {
+		_, err = doc.Build(machine.New(machine.Config{Topo: topology.MustNew(topo), Alpha: -1}))
+	}
+	if err != nil {
+		return workloads.Benchmark{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return workloads.FromDocument(doc), nil
 }
 
 // load restores a saved campaign for -in.

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ilan-sched/ilan/internal/harness"
+	"github.com/ilan-sched/ilan/internal/topology"
 )
 
 // TestCheckFlags: a flag the experiment's row does not accept is a usage
@@ -60,6 +64,41 @@ func TestCheckFlags(t *testing.T) {
 		}
 		if err := checkFlags(e, set); (err == nil) != tc.ok {
 			t.Errorf("-exp %s with %v: err = %v, want ok = %v", tc.exp, tc.flags, err, tc.ok)
+		}
+	}
+}
+
+// TestDocumentEntry: a -bench @path entry runs the committed example on
+// every preset topology, and each way it can fail names the file.
+func TestDocumentEntry(t *testing.T) {
+	const example = "../../testdata/looplang/example.json"
+	for name, spec := range topology.Presets() {
+		b, err := document(example, spec)
+		if err != nil || b.Name != "example" || b.Digest == "" {
+			t.Errorf("%s: document(%s) = %q, digest %q, err %v", name, example, b.Name, b.Digest, err)
+		}
+	}
+	data, err := os.ReadFile(example)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	bad := map[string]string{
+		"missing.json": "",
+		"broken.json":  `{"name":`,
+		"invalid.json": strings.Replace(string(data), `"steps": 30`, `"steps": 0`, 1),
+		"node7.json":   strings.Replace(string(data), `"placement": "blocked"}`, `"placement": "node:7"}`, 1),
+		"small.json":   strings.Replace(string(data), `"sizeMB": 192`, `"sizeMB": 100`, 1),
+	}
+	for file, content := range bad {
+		path := filepath.Join(dir, file)
+		if content != "" {
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := document(path, topology.SmallTest()); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: err = %v, want an error naming the file", file, err)
 		}
 	}
 }

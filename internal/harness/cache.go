@@ -21,6 +21,8 @@ import (
 // Included (any change must change the result, so it changes the key):
 //   - the simulator/code fingerprint (bumped when the model changes),
 //   - benchmark name and workload class (the workload model + parameters),
+//   - for a benchmark read from a looplang document, the document's
+//     digest: two files with the same name never share an entry,
 //   - scheduler kind (kind fully determines the scheduler construction,
 //     including its ILAN option set — see NewScheduler),
 //   - the repetition index and base seed (they derive the machine seed),
@@ -63,6 +65,7 @@ type cacheKeyInputs struct {
 	Fingerprint  string              `json:"fingerprint"`
 	EntryVersion int                 `json:"entryVersion"`
 	Bench        string              `json:"bench"`
+	Document     string              `json:"document,omitempty"` // a document benchmark's digest; absent for the built-in models
 	Class        string              `json:"class"`
 	Kind         string              `json:"kind"`
 	Rep          int                 `json:"rep"`
@@ -101,6 +104,7 @@ func (u *unit) key() string {
 		Fingerprint:  simFingerprint,
 		EntryVersion: cellcache.Version,
 		Bench:        u.bench.Name,
+		Document:     u.bench.Digest,
 		Class:        cfg.Class.String(),
 		Kind:         u.kind.String(),
 		Rep:          u.rep,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/ilan-sched/ilan/internal/cellcache"
+	"github.com/ilan-sched/ilan/internal/looplang"
 	"github.com/ilan-sched/ilan/internal/topology"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
@@ -75,6 +76,7 @@ func TestCacheKeyPerturbation(t *testing.T) {
 		"trace-decisions":     func(u *keyUnit) { u.cfg.TraceDecisions = true },
 		"decision-cap":        func(u *keyUnit) { u.cfg.DecisionCap = 512 },
 		"trace-tasks (rep 0)": func(u *keyUnit) { u.cfg.TraceTasks = true },
+		"document":            func(u *keyUnit) { u.bench = cgDocument(10) },
 	}
 	mustNotChange := map[string]func(*keyUnit){
 		"jobs":                func(u *keyUnit) { u.cfg.Jobs = 8 },
@@ -109,6 +111,13 @@ func TestCacheKeyPerturbation(t *testing.T) {
 		}
 	}
 
+	// Two documents that share a name share no entry.
+	doc1, doc2 := baseUnit(t), baseUnit(t)
+	doc1.bench, doc2.bench = cgDocument(10), cgDocument(11)
+	if doc1.key() == doc2.key() {
+		t.Error("two documents named CG share a cache key")
+	}
+
 	// The cache handle itself must be key-neutral (it never feeds back).
 	u := baseUnit(t)
 	cc, err := cellcache.Open(t.TempDir(), 0)
@@ -119,6 +128,16 @@ func TestCacheKeyPerturbation(t *testing.T) {
 	if u.key() != base {
 		t.Error("attaching a cache changed the cache key")
 	}
+}
+
+// cgDocument is a looplang document benchmark that calls itself CG, with
+// the given per-iteration compute.
+func cgDocument(micros float64) workloads.Benchmark {
+	return workloads.FromDocument(&looplang.Document{
+		Name: "CG", Steps: 1, Regions: []looplang.RegionDecl{{Name: "v"}},
+		Loops: []looplang.LoopDecl{{Name: "l", Iters: 4, Tasks: 2, ComputeMicros: micros,
+			Streams: []looplang.AccessDecl{{Region: "v", KBPerIter: 1}}}},
+	})
 }
 
 // TestCacheKeyMultiPerturbation: every co-run descriptor input must change

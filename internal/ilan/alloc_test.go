@@ -31,7 +31,8 @@ func TestSettledLoopAllocsAreZero(t *testing.T) {
 		opts.Moldability = mold
 		s := MustNew(opts)
 		rt := taskrt.New(m, s, taskrt.DefaultCosts())
-		prog := workloads.CG(m, workloads.ClassTest)
+		cg, _ := workloads.ByName("CG")
+		prog := cg.Build(m, workloads.ClassTest)
 		for _, spec := range prog.Loops {
 			loop := func() {
 				rt.SubmitLoop(spec, nil)

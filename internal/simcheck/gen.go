@@ -6,6 +6,7 @@ import (
 
 	"github.com/ilan-sched/ilan/internal/harness"
 	"github.com/ilan-sched/ilan/internal/ilan"
+	"github.com/ilan-sched/ilan/internal/looplang"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/memsys"
 	"github.com/ilan-sched/ilan/internal/sim"
@@ -257,17 +258,6 @@ func (sc Scenario) String() string {
 	return b.String()
 }
 
-// genWeight is a deterministic splitmix-style per-iteration weight in
-// [1-amp, 1+amp]: the generated loops' load-imbalance profile.
-func genWeight(i int, amp float64) float64 {
-	z := uint64(i)*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	u := float64(z>>11) / (1 << 53)
-	return 1 + amp*(2*u-1)
-}
-
 // BuildProgram materializes the scenario's workload on a machine: regions
 // are allocated and block-placed across all nodes, loops become LoopSpecs.
 func (sc Scenario) BuildProgram(m *machine.Machine) *taskrt.Program {
@@ -325,7 +315,7 @@ func (sc Scenario) buildProgram(m *machine.Machine, idx int) *taskrt.Program {
 			Demand: func(lo, hi int) (float64, []memsys.Access) {
 				sec := 0.0
 				for i := lo; i < hi; i++ {
-					sec += lg.ComputePerIter * genWeight(i, lg.Imbalance)
+					sec += lg.ComputePerIter * looplang.HashWeight(i, lg.Imbalance)
 				}
 				var acc []memsys.Access
 				if stream != nil {

@@ -3,6 +3,7 @@ package simcheck
 import (
 	"fmt"
 
+	"github.com/ilan-sched/ilan/internal/looplang"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/memsys"
 	"github.com/ilan-sched/ilan/internal/sim"
@@ -207,7 +208,7 @@ func (rs RenumberScenario) RunRenumbered(pi []int) (string, error) {
 			Demand: func(lo, hi int) (float64, []memsys.Access) {
 				sec := 0.0
 				for i := lo; i < hi; i++ {
-					sec += l.ComputePerIter * genWeight(i, l.Imbalance)
+					sec += l.ComputePerIter * looplang.HashWeight(i, l.Imbalance)
 				}
 				var acc []memsys.Access
 				if region != nil {

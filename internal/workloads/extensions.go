@@ -1,14 +1,10 @@
 package workloads
 
-import (
-	"github.com/ilan-sched/ilan/internal/machine"
-	"github.com/ilan-sched/ilan/internal/memsys"
-	"github.com/ilan-sched/ilan/internal/taskrt"
-)
+import "github.com/ilan-sched/ilan/internal/looplang"
 
 // This file models three further NPB kernels the paper does not evaluate —
-// EP, MG, and IS — offered as extension workloads. They stress corners the
-// seven paper benchmarks do not:
+// EP, MG, and IS — offered as extension workloads (see Extensions). They
+// stress corners the seven paper benchmarks do not:
 //
 //	EP — embarrassingly parallel: zero shared data, perfect scaling. The
 //	     null case: every scheduler should tie, and any ILAN overhead
@@ -21,117 +17,56 @@ import (
 //	     plus a permutation pass with scattered writes; bandwidth-starved
 //	     and irregular, a further moldability candidate.
 
-// Extensions returns the extension benchmarks (not part of the paper's
-// figures; run them by name or via AllWithExtensions).
-func Extensions() []Benchmark {
-	return []Benchmark{
-		{Name: "EP", Build: EP},
-		{Name: "MG", Build: MG},
-		{Name: "IS", Build: IS},
-	}
-}
-
-// AllWithExtensions returns the paper's seven benchmarks followed by the
-// extension set.
-func AllWithExtensions() []Benchmark {
-	return append(All(), Extensions()...)
-}
-
-// EP builds the embarrassingly-parallel kernel: batches of pseudo-random
+// ep describes the embarrassingly-parallel kernel: batches of pseudo-random
 // pair generation with a tiny private accumulation buffer and no shared
 // traffic at all.
-func EP(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 40)
-	iters := scaled(cls, 4096, 512)
-	tasks := scaled(cls, 256, 32)
-
-	acc := newStreamRegion(m, "ep.acc", iters, 4<<10)
-
-	defs := []LoopDef{
-		{
-			Name: "generate", Iters: iters, Tasks: tasks,
-			ComputePerIter: 160e-6,
-			Streams:        []StreamDef{{acc, 4 << 10}},
-		},
+func ep(cls Class) *looplang.Document {
+	return &looplang.Document{
+		Name: "EP", Steps: scaledSteps(cls, 40),
+		Regions: []region{{Name: "ep.acc"}},
+		Loops: []loop{{Name: "generate", Iters: scaled(cls, 4096, 512), Tasks: scaled(cls, 256, 32), ComputeMicros: 160,
+			Streams: stream("ep.acc", 4)}},
 	}
-	return program("EP", steps, defs)
 }
 
-// MG builds the multigrid V-cycle: a fine-grid smoother and residual, a
+// mg describes the multigrid V-cycle: a fine-grid smoother and residual, a
 // restriction to a mid grid, a coarse-grid solve with few iterations, and
 // a prolongation back. Each level is a distinct taskloop with its own
 // configuration.
-func MG(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 40)
+func mg(cls Class) *looplang.Document {
 	fineIters := scaled(cls, 4096, 512)
 	midIters := fineIters / 8
 	coarseIters := fineIters / 64
 	fineTasks := scaled(cls, 256, 32)
 	midTasks := fineTasks / 4
-	coarseTasks := fineTasks / 16
-	if coarseTasks > coarseIters {
-		coarseTasks = coarseIters
-	}
-
-	fine := newStreamRegion(m, "mg.fine", fineIters, 120<<10)
-	mid := newStreamRegion(m, "mg.mid", midIters, 120<<10)
-	coarse := newStreamRegion(m, "mg.coarse", coarseIters, 120<<10)
-
-	defs := []LoopDef{
-		{
-			Name: "smooth-fine", Iters: fineIters, Tasks: fineTasks,
-			ComputePerIter: 110e-6,
-			Streams:        []StreamDef{{fine, 120 << 10}},
-		},
-		{
-			Name: "residual", Iters: fineIters, Tasks: fineTasks,
-			ComputePerIter: 70e-6,
-			Streams:        []StreamDef{{fine, 120 << 10}},
-		},
-		{
-			Name: "restrict", Iters: midIters, Tasks: midTasks,
-			ComputePerIter: 90e-6,
-			Streams:        []StreamDef{{mid, 120 << 10}},
-		},
-		{
-			Name: "solve-coarse", Iters: coarseIters, Tasks: coarseTasks,
-			ComputePerIter: 60e-6,
-			Streams:        []StreamDef{{coarse, 120 << 10}},
-		},
-		{
-			Name: "prolongate", Iters: midIters, Tasks: midTasks,
-			ComputePerIter: 80e-6,
-			Streams:        []StreamDef{{mid, 120 << 10}},
+	coarseTasks := min(fineTasks/16, coarseIters)
+	return &looplang.Document{
+		Name: "MG", Steps: scaledSteps(cls, 40),
+		Regions: []region{{Name: "mg.fine"}, {Name: "mg.mid"}, {Name: "mg.coarse"}},
+		Loops: []loop{
+			{Name: "smooth-fine", Iters: fineIters, Tasks: fineTasks, ComputeMicros: 110, Streams: stream("mg.fine", 120)},
+			{Name: "residual", Iters: fineIters, Tasks: fineTasks, ComputeMicros: 70, Streams: stream("mg.fine", 120)},
+			{Name: "restrict", Iters: midIters, Tasks: midTasks, ComputeMicros: 90, Streams: stream("mg.mid", 120)},
+			{Name: "solve-coarse", Iters: coarseIters, Tasks: coarseTasks, ComputeMicros: 60,
+				Streams: stream("mg.coarse", 120)},
+			{Name: "prolongate", Iters: midIters, Tasks: midTasks, ComputeMicros: 80, Streams: stream("mg.mid", 120)},
 		},
 	}
-	return program("MG", steps, defs)
 }
 
-// IS builds the integer bucket sort: key counting gathers irregularly over
-// the whole key array; the rank/permute pass streams keys out while
+// is describes the integer bucket sort: key counting gathers irregularly
+// over the whole key array; the rank/permute pass streams keys out while
 // scattering into buckets spread across every node.
-func IS(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 45)
+func is(cls Class) *looplang.Document {
 	iters := scaled(cls, 640, 80)
 	tasks := scaled(cls, 160, 20)
-
-	keys := newSharedRegion(m, "is.keys", 256<<20)
-	buckets := newSharedRegion(m, "is.buckets", 128<<20)
-	out := newStreamRegion(m, "is.out", iters, 100<<10)
-
-	defs := []LoopDef{
-		{
-			Name: "histogram", Iters: iters, Tasks: tasks,
-			ComputePerIter: 30e-6,
-			Spans:          []SpanDef{{keys, 180 << 10, memsys.Gather}},
-		},
-		{
-			Name: "rank", Iters: iters, Tasks: tasks,
-			ComputePerIter: 40e-6,
-			Weight:         blockWeight(iters, 64, 0.35, 4),
-			Streams:        []StreamDef{{out, 100 << 10}},
-			Spans:          []SpanDef{{buckets, 120 << 10, memsys.Gather}},
+	return &looplang.Document{
+		Name: "IS", Steps: scaledSteps(cls, 45),
+		Regions: []region{{Name: "is.keys", SizeMB: 256}, {Name: "is.buckets", SizeMB: 128}, {Name: "is.out"}},
+		Loops: []loop{
+			{Name: "histogram", Iters: iters, Tasks: tasks, ComputeMicros: 30, Spans: gather("is.keys", 180)},
+			{Name: "rank", Iters: iters, Tasks: tasks, ComputeMicros: 40, Streams: stream("is.out", 100),
+				Spans: gather("is.buckets", 120), Imbalance: &imbalance{Blocks: 64, Amplitude: 0.35, Salt: 4}},
 		},
 	}
-	return program("IS", steps, defs)
 }

@@ -1,12 +1,8 @@
 package workloads
 
-import (
-	"github.com/ilan-sched/ilan/internal/machine"
-	"github.com/ilan-sched/ilan/internal/memsys"
-	"github.com/ilan-sched/ilan/internal/taskrt"
-)
+import "github.com/ilan-sched/ilan/internal/looplang"
 
-// LULESH models the Livermore unstructured Lagrangian explicit
+// lulesh models the Livermore unstructured Lagrangian explicit
 // shock-hydrodynamics proxy app (problem size 400, 200 iterations in the
 // paper). One Lagrange leapfrog step runs a diverse set of loops — exactly
 // why the paper uses it: a single global configuration cannot fit all of
@@ -24,70 +20,40 @@ import (
 //	             element region, the main imbalance source.
 //	timeconstr — courant/hydro time-constraint reductions: short and
 //	             memory-light.
-func LULESH(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 35)
+func lulesh(cls Class) *looplang.Document {
 	iters := scaled(cls, 4096, 512)
 	tasks := scaled(cls, 256, 32)
-
-	elemForce := newStreamRegion(m, "lulesh.force", iters, 40<<10)
-	nodal := newStreamRegion(m, "lulesh.nodal", iters, 80<<10)
-	elemKin := newStreamRegion(m, "lulesh.kinematics", iters, 70<<10)
-	nodesShared := newSharedRegion(m, "lulesh.nodes", 256<<20)
-	matState := newStreamRegion(m, "lulesh.material", iters, 40<<10)
-	dtArrays := newStreamRegion(m, "lulesh.dt", iters, 60<<10)
-
-	defs := []LoopDef{
-		{
-			Name: "force", Iters: iters, Tasks: tasks,
-			ComputePerIter: 120e-6,
-			Streams:        []StreamDef{{elemForce, 40 << 10}},
+	return &looplang.Document{
+		Name: "LULESH", Steps: scaledSteps(cls, 35),
+		Regions: []region{
+			{Name: "lulesh.force"}, {Name: "lulesh.nodal"}, {Name: "lulesh.kinematics"},
+			{Name: "lulesh.nodes", SizeMB: 256}, {Name: "lulesh.material"}, {Name: "lulesh.dt"},
 		},
-		{
-			Name: "accel-pos", Iters: iters, Tasks: tasks,
-			ComputePerIter: 50e-6,
-			Streams:        []StreamDef{{nodal, 80 << 10}},
-		},
-		{
-			Name: "kinematics", Iters: iters, Tasks: tasks,
-			ComputePerIter: 90e-6,
-			Streams:        []StreamDef{{elemKin, 70 << 10}},
-			Spans:          []SpanDef{{nodesShared, 6 << 10, memsys.Gather}},
-		},
-		{
-			Name: "material", Iters: iters, Tasks: tasks,
-			ComputePerIter: 100e-6,
-			Weight:         blockWeight(iters, 64, 0.35, 3),
-			Streams:        []StreamDef{{matState, 40 << 10}},
-		},
-		{
-			Name: "timeconstr", Iters: iters, Tasks: tasks,
-			ComputePerIter: 35e-6,
-			Streams:        []StreamDef{{dtArrays, 60 << 10}},
+		Loops: []loop{
+			{Name: "force", Iters: iters, Tasks: tasks, ComputeMicros: 120, Streams: stream("lulesh.force", 40)},
+			{Name: "accel-pos", Iters: iters, Tasks: tasks, ComputeMicros: 50, Streams: stream("lulesh.nodal", 80)},
+			{Name: "kinematics", Iters: iters, Tasks: tasks, ComputeMicros: 90, Streams: stream("lulesh.kinematics", 70),
+				Spans: gather("lulesh.nodes", 6)},
+			{Name: "material", Iters: iters, Tasks: tasks, ComputeMicros: 100, Streams: stream("lulesh.material", 40),
+				Imbalance: &imbalance{Blocks: 64, Amplitude: 0.35, Salt: 3}},
+			{Name: "timeconstr", Iters: iters, Tasks: tasks, ComputeMicros: 35, Streams: stream("lulesh.dt", 60)},
 		},
 	}
-	return program("LULESH", steps, defs)
 }
 
-// Matmul models the dense matrix-multiplication kernel (loop size 3500,
+// matmul models the dense matrix-multiplication kernel (loop size 3500,
 // 200 iterations in the paper): very high arithmetic intensity, a tiled
 // working set that lives in the L3, near-perfect scaling — the benchmark
 // on which ILAN has nothing to win and pays its exploration cost, the
 // paper's only slowdown.
-func Matmul(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 45)
-	iters := scaled(cls, 512, 64)
-	tasks := scaled(cls, 128, 16)
-
-	c := newStreamRegion(m, "matmul.c", iters, 24<<10)
-	b := newSharedRegion(m, "matmul.b", 24<<20) // resident tile set, reused every step
-
-	defs := []LoopDef{
-		{
-			Name: "mm-tile", Iters: iters, Tasks: tasks,
-			ComputePerIter: 290e-6,
-			Streams:        []StreamDef{{c, 24 << 10}},
-			Spans:          []SpanDef{{b, 4 << 10, memsys.Transpose}},
+func matmul(cls Class) *looplang.Document {
+	return &looplang.Document{
+		Name: "Matmul", Steps: scaledSteps(cls, 45),
+		Regions: []region{
+			{Name: "matmul.c"},
+			{Name: "matmul.b", SizeMB: 24}, // resident tile set, reused every step
 		},
+		Loops: []loop{{Name: "mm-tile", Iters: scaled(cls, 512, 64), Tasks: scaled(cls, 128, 16), ComputeMicros: 290,
+			Streams: stream("matmul.c", 24), Spans: transpose("matmul.b", 4)}},
 	}
-	return program("Matmul", steps, defs)
 }

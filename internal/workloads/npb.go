@@ -1,10 +1,6 @@
 package workloads
 
-import (
-	"github.com/ilan-sched/ilan/internal/machine"
-	"github.com/ilan-sched/ilan/internal/memsys"
-	"github.com/ilan-sched/ilan/internal/taskrt"
-)
+import "github.com/ilan-sched/ilan/internal/looplang"
 
 // This file models the five NAS Parallel Benchmarks of the evaluation
 // (the Löff et al. C++ translation, class D shapes, loops converted from
@@ -30,214 +26,109 @@ import (
 // marginal and locality gains come from NUMA distance, as on the real
 // platform. The CG operand vector and SP plane buffers are shared regions
 // gathered from every controller.
+//
+// The block-structured imbalances use looplang's "blocks" profile: coarse
+// blocks punish static chunking (work-sharing) while dynamic task
+// scheduling rebalances them. Each model gives its profile its own salt.
 
-// blockWeight gives a block-structured imbalance profile: iterations come
-// in nblocks contiguous blocks whose weights are deterministic pseudo-random
-// in [1-amp, 1+amp]. Coarse blocks punish static chunking (work-sharing)
-// while dynamic task scheduling rebalances them.
-func blockWeight(iters, nblocks int, amp float64, salt int) func(int) float64 {
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	return func(i int) float64 {
-		return hashWeight(i*nblocks/iters+salt*1000, amp)
-	}
-}
-
-// FT builds the 3-D fast Fourier transform benchmark: per timestep an
+// ft describes the 3-D fast Fourier transform benchmark: per timestep an
 // evolve loop, two FFT stages streaming over the grid, and a transpose with
 // all-to-all traffic. FT iterations were raised from 25 to 200 in the
 // paper; steps here follow the same "many repetitions" regime.
-func FT(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 40)
+func ft(cls Class) *looplang.Document {
 	iters := scaled(cls, 4096, 512)
 	tasks := scaled(cls, 256, 32)
-
-	u0 := newStreamRegion(m, "ft.u0", iters, 110<<10)
-	u1 := newStreamRegion(m, "ft.u1", iters, 110<<10)
-	twiddle := newSharedRegion(m, "ft.twiddle", 512<<20)
-
-	defs := []LoopDef{
-		{
-			Name: "evolve", Iters: iters, Tasks: tasks,
-			ComputePerIter: 120e-6,
-			Streams:        []StreamDef{{u0, 110 << 10}},
-		},
-		{
-			Name: "fft-x", Iters: iters, Tasks: tasks,
-			ComputePerIter: 180e-6,
-			Streams:        []StreamDef{{u0, 110 << 10}},
-		},
-		{
-			Name: "transpose", Iters: iters, Tasks: tasks,
-			ComputePerIter: 60e-6,
-			Spans:          []SpanDef{{twiddle, 40 << 10, memsys.Transpose}},
-		},
-		{
-			Name: "fft-y", Iters: iters, Tasks: tasks,
-			ComputePerIter: 180e-6,
-			Streams:        []StreamDef{{u1, 110 << 10}},
+	return &looplang.Document{
+		Name: "FT", Steps: scaledSteps(cls, 40),
+		Regions: []region{{Name: "ft.u0"}, {Name: "ft.u1"}, {Name: "ft.twiddle", SizeMB: 512}},
+		Loops: []loop{
+			{Name: "evolve", Iters: iters, Tasks: tasks, ComputeMicros: 120, Streams: stream("ft.u0", 110)},
+			{Name: "fft-x", Iters: iters, Tasks: tasks, ComputeMicros: 180, Streams: stream("ft.u0", 110)},
+			{Name: "transpose", Iters: iters, Tasks: tasks, ComputeMicros: 60, Spans: transpose("ft.twiddle", 40)},
+			{Name: "fft-y", Iters: iters, Tasks: tasks, ComputeMicros: 180, Streams: stream("ft.u1", 110)},
 		},
 	}
-	return program("FT", steps, defs)
 }
 
-// BT builds the block tri-diagonal solver: a right-hand-side assembly and
-// three directional sweeps per timestep. BT is the most compute-rich of the
-// pseudo-applications; its ILAN gain comes from hierarchical locality.
-func BT(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 40)
+// bt describes the block tri-diagonal solver: a right-hand-side assembly
+// and three directional sweeps per timestep. BT is the most compute-rich of
+// the pseudo-applications; its ILAN gain comes from hierarchical locality.
+func bt(cls Class) *looplang.Document {
 	iters := scaled(cls, 4096, 512)
 	tasks := scaled(cls, 256, 32)
-
-	rhs := newStreamRegion(m, "bt.rhs", iters, 110<<10)
-	ux := newStreamRegion(m, "bt.ux", iters, 100<<10)
-	uy := newStreamRegion(m, "bt.uy", iters, 100<<10)
-	uz := newStreamRegion(m, "bt.uz", iters, 100<<10)
-
-	defs := []LoopDef{
-		{
-			Name: "rhs", Iters: iters, Tasks: tasks,
-			ComputePerIter: 110e-6,
-			Streams:        []StreamDef{{rhs, 110 << 10}},
-		},
-		{
-			Name: "x-solve", Iters: iters, Tasks: tasks,
-			ComputePerIter: 120e-6,
-			Streams:        []StreamDef{{ux, 100 << 10}},
-		},
-		{
-			Name: "y-solve", Iters: iters, Tasks: tasks,
-			ComputePerIter: 120e-6,
-			Streams:        []StreamDef{{uy, 100 << 10}},
-		},
-		{
-			Name: "z-solve", Iters: iters, Tasks: tasks,
-			ComputePerIter: 125e-6,
-			Streams:        []StreamDef{{uz, 100 << 10}},
+	return &looplang.Document{
+		Name: "BT", Steps: scaledSteps(cls, 40),
+		Regions: []region{{Name: "bt.rhs"}, {Name: "bt.ux"}, {Name: "bt.uy"}, {Name: "bt.uz"}},
+		Loops: []loop{
+			{Name: "rhs", Iters: iters, Tasks: tasks, ComputeMicros: 110, Streams: stream("bt.rhs", 110)},
+			{Name: "x-solve", Iters: iters, Tasks: tasks, ComputeMicros: 120, Streams: stream("bt.ux", 100)},
+			{Name: "y-solve", Iters: iters, Tasks: tasks, ComputeMicros: 120, Streams: stream("bt.uy", 100)},
+			{Name: "z-solve", Iters: iters, Tasks: tasks, ComputeMicros: 125, Streams: stream("bt.uz", 100)},
 		},
 	}
-	return program("BT", steps, defs)
 }
 
-// CG builds the conjugate-gradient kernel: the sparse matrix-vector product
-// gathers irregularly from the whole operand vector (poor line utilization,
-// traffic on every controller), with block-structured row-length imbalance;
-// two streaming vector updates accompany it.
-func CG(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 45)
+// cg describes the conjugate-gradient kernel: the sparse matrix-vector
+// product gathers irregularly from the whole operand vector (poor line
+// utilization, traffic on every controller), with block-structured
+// row-length imbalance; two streaming vector updates accompany it.
+func cg(cls Class) *looplang.Document {
 	iters := scaled(cls, 768, 96)
 	vecIters := scaled(cls, 2048, 256)
 	tasks := scaled(cls, 192, 24)
 	vecTasks := scaled(cls, 128, 16)
-
-	a := newStreamRegion(m, "cg.a", iters, 40<<10)
-	x := newSharedRegion(m, "cg.x", 192<<20)
-	p := newStreamRegion(m, "cg.p", vecIters, 100<<10)
-	q := newStreamRegion(m, "cg.q", vecIters, 100<<10)
-
-	defs := []LoopDef{
-		{
-			Name: "spmv", Iters: iters, Tasks: tasks,
-			ComputePerIter: 180e-6,
-			Weight:         blockWeight(iters, 24, 0.5, 1),
-			Streams:        []StreamDef{{a, 40 << 10}},
-			Spans:          []SpanDef{{x, 200 << 10, memsys.Gather}},
-		},
-		{
-			Name: "axpy-p", Iters: vecIters, Tasks: vecTasks,
-			ComputePerIter: 22e-6,
-			Streams:        []StreamDef{{p, 100 << 10}},
-		},
-		{
-			Name: "axpy-q", Iters: vecIters, Tasks: vecTasks,
-			ComputePerIter: 22e-6,
-			Streams:        []StreamDef{{q, 100 << 10}},
+	return &looplang.Document{
+		Name: "CG", Steps: scaledSteps(cls, 45),
+		Regions: []region{{Name: "cg.a"}, {Name: "cg.x", SizeMB: 192}, {Name: "cg.p"}, {Name: "cg.q"}},
+		Loops: []loop{
+			{Name: "spmv", Iters: iters, Tasks: tasks, ComputeMicros: 180, Streams: stream("cg.a", 40),
+				Spans: gather("cg.x", 200), Imbalance: &imbalance{Blocks: 24, Amplitude: 0.5, Salt: 1}},
+			{Name: "axpy-p", Iters: vecIters, Tasks: vecTasks, ComputeMicros: 22, Streams: stream("cg.p", 100)},
+			{Name: "axpy-q", Iters: vecIters, Tasks: vecTasks, ComputeMicros: 22, Streams: stream("cg.q", 100)},
 		},
 	}
-	return program("CG", steps, defs)
 }
 
-// LU builds the lower-upper Gauss-Seidel solver: two wavefront sweeps with
-// a smooth pipeline imbalance (the wavefront fills and drains) plus an RHS
-// loop with a small indirect component.
-func LU(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 45)
+// lu describes the lower-upper Gauss-Seidel solver: two wavefront sweeps
+// with a smooth pipeline imbalance (the wavefront fills and drains) plus an
+// RHS loop with a small indirect component.
+func lu(cls Class) *looplang.Document {
 	iters := scaled(cls, 4096, 512)
 	tasks := scaled(cls, 256, 32)
-
-	lower := newStreamRegion(m, "lu.lower", iters, 60<<10)
-	upper := newStreamRegion(m, "lu.upper", iters, 60<<10)
-	rhs := newStreamRegion(m, "lu.rhs", iters, 70<<10)
-	flux := newSharedRegion(m, "lu.flux", 256<<20)
-
 	// Wavefront profile: work ramps up, plateaus, and drains.
-	wave := func(i int) float64 {
-		frac := float64(i) / float64(iters)
-		ramp := 1.05
-		if frac < 0.2 {
-			ramp = 0.8 + 1.25*frac
-		} else if frac > 0.8 {
-			ramp = 0.8 + 1.25*(1-frac)
-		}
-		return ramp
-	}
-
-	defs := []LoopDef{
-		{
-			Name: "blts", Iters: iters, Tasks: tasks,
-			ComputePerIter: 175e-6,
-			Weight:         wave,
-			Streams:        []StreamDef{{lower, 60 << 10}},
-		},
-		{
-			Name: "buts", Iters: iters, Tasks: tasks,
-			ComputePerIter: 175e-6,
-			Weight:         wave,
-			Streams:        []StreamDef{{upper, 60 << 10}},
-		},
-		{
-			Name: "rhs", Iters: iters, Tasks: tasks,
-			ComputePerIter: 150e-6,
-			Streams:        []StreamDef{{rhs, 70 << 10}},
-			Spans:          []SpanDef{{flux, 8 << 10, memsys.Gather}},
+	wave := &imbalance{Profile: "wavefront"}
+	return &looplang.Document{
+		Name: "LU", Steps: scaledSteps(cls, 45),
+		Regions: []region{{Name: "lu.lower"}, {Name: "lu.upper"}, {Name: "lu.rhs"}, {Name: "lu.flux", SizeMB: 256}},
+		Loops: []loop{
+			{Name: "blts", Iters: iters, Tasks: tasks, ComputeMicros: 175, Streams: stream("lu.lower", 60), Imbalance: wave},
+			{Name: "buts", Iters: iters, Tasks: tasks, ComputeMicros: 175, Streams: stream("lu.upper", 60), Imbalance: wave},
+			{Name: "rhs", Iters: iters, Tasks: tasks, ComputeMicros: 150, Streams: stream("lu.rhs", 70),
+				Spans: gather("lu.flux", 8)},
 		},
 	}
-	return program("LU", steps, defs)
 }
 
-// SP builds the scalar penta-diagonal solver: the most bandwidth-starved
+// sp describes the scalar penta-diagonal solver: the most bandwidth-starved
 // benchmark. Its line solves scatter across planes (modelled as gathers
 // over shared plane buffers on every controller) with little compute per
 // byte, so concurrency beyond the bandwidth optimum hurts — the paper's
 // prime moldability case — plus block-structured imbalance.
-func SP(m *machine.Machine, cls Class) *taskrt.Program {
-	steps := scaledSteps(cls, 45)
+func sp(cls Class) *looplang.Document {
 	iters := scaled(cls, 640, 80)
 	tasks := scaled(cls, 160, 20)
-
-	planes := newSharedRegion(m, "sp.planes", 384<<20)
-	rhs := newStreamRegion(m, "sp.rhs", iters, 200<<10)
-	u := newStreamRegion(m, "sp.u", iters, 60<<10)
-
-	solve := func(name string) LoopDef {
-		return LoopDef{
-			Name: name, Iters: iters, Tasks: tasks,
-			ComputePerIter: 60e-6,
-			Weight:         blockWeight(iters, 128, 0.3, 2),
-			Streams:        []StreamDef{{u, 60 << 10}},
-			Spans:          []SpanDef{{planes, 200 << 10, memsys.Gather}},
-		}
+	solve := func(name string) loop {
+		return loop{Name: name, Iters: iters, Tasks: tasks, ComputeMicros: 60, Streams: stream("sp.u", 60),
+			Spans: gather("sp.planes", 200), Imbalance: &imbalance{Blocks: 128, Amplitude: 0.3, Salt: 2}}
 	}
-	defs := []LoopDef{
-		{
-			Name: "rhs", Iters: iters, Tasks: tasks,
-			ComputePerIter: 24e-6,
-			Streams:        []StreamDef{{rhs, 200 << 10}},
+	return &looplang.Document{
+		Name: "SP", Steps: scaledSteps(cls, 45),
+		Regions: []region{{Name: "sp.planes", SizeMB: 384}, {Name: "sp.rhs"}, {Name: "sp.u"}},
+		Loops: []loop{
+			{Name: "rhs", Iters: iters, Tasks: tasks, ComputeMicros: 24, Streams: stream("sp.rhs", 200)},
+			solve("x-solve"),
+			solve("y-solve"),
+			solve("z-solve"),
 		},
-		solve("x-solve"),
-		solve("y-solve"),
-		solve("z-solve"),
 	}
-	return program("SP", steps, defs)
 }

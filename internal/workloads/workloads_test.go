@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/ilan-sched/ilan/internal/looplang"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/memsys"
 	"github.com/ilan-sched/ilan/internal/sched"
@@ -98,10 +99,9 @@ func TestDemandsAreWithinRegions(t *testing.T) {
 }
 
 func TestClassScaling(t *testing.T) {
-	mt := newMachine()
-	mp := newMachine()
-	test := CG(mt, ClassTest)
-	paper := CG(mp, ClassPaper)
+	cg, _ := ByName("CG")
+	test := cg.Build(newMachine(), ClassTest)
+	paper := cg.Build(newMachine(), ClassPaper)
 	if len(test.Sequence) >= len(paper.Sequence) {
 		t.Fatal("test class not smaller than paper class")
 	}
@@ -126,42 +126,13 @@ func TestScaledFloor(t *testing.T) {
 	}
 }
 
-func TestHashWeightRangeAndDeterminism(t *testing.T) {
-	for i := 0; i < 1000; i++ {
-		w := hashWeight(i, 0.5)
-		if w < 0.5 || w > 1.5 {
-			t.Fatalf("hashWeight(%d) = %g out of [0.5, 1.5]", i, w)
-		}
-		if w != hashWeight(i, 0.5) {
-			t.Fatal("hashWeight not deterministic")
-		}
-	}
-}
-
-func TestBlockWeightIsBlocky(t *testing.T) {
-	w := blockWeight(100, 10, 0.5, 0)
-	// All iterations in the same block share a weight.
-	for i := 0; i < 10; i++ {
-		if w(i) != w(0) {
-			t.Fatalf("iterations 0 and %d in block 0 differ", i)
-		}
-	}
-	// Different blocks (almost surely) differ.
-	diff := 0
-	for b := 1; b < 10; b++ {
-		if w(b*10) != w(0) {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Fatal("all blocks share one weight")
-	}
-}
-
 func TestStreamRegionPlacementAlignsWithChunks(t *testing.T) {
 	m := newMachine()
 	iters := 512
-	r := newStreamRegion(m, "x", iters, 300<<10)
+	doc := &looplang.Document{Name: "x", Steps: 1, Regions: []region{{Name: "x"}},
+		Loops: []loop{{Name: "l", Iters: iters, Tasks: 1, Streams: stream("x", 300)}}}
+	build(doc, m)
+	r := m.Memory().Regions()[0]
 	numNodes := m.Topology().NumNodes()
 	// Iteration slice i*bytes/iter should be homed on node i*numNodes/iters
 	// (within block-granularity rounding).
