@@ -19,11 +19,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# Hot-path benchmarks (event engine, dispatch/steal loop, full campaign)
-# with allocation stats; each run appends a commit-stamped entry to the
+# Hot-path benchmarks (event engine, dispatch/steal loop, full campaign,
+# fluid refresh, task execution, access resolution) with allocation stats; each run appends a commit-stamped entry to the
 # BENCH_hotpath.json trajectory.
 bench:
-	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm' \
+	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm|BenchmarkMachineExec|BenchmarkResolver' \
 		-benchmem -run=NONE . | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson -commit $$(git rev-parse --short HEAD) -file BENCH_hotpath.json
 
@@ -41,8 +41,9 @@ cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1
 
 # Coverage-guided fuzzing of the simulator under the invariant checker
-# and metamorphic oracles (DESIGN.md §11) and of the looplang document
-# decoder, then a randomized soak run.
+# and metamorphic oracles (DESIGN.md §11), of the fluid solver, event
+# engine and L3 model against their references, and of the looplang
+# document decoder, then a randomized soak run.
 # FUZZTIME bounds each native target; corpora seed from testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpecValidate -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -fuzz=FuzzReferenceSolver -fuzztime=$(FUZZTIME) ./internal/machine
 	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -fuzz=FuzzCacheOrder -fuzztime=$(FUZZTIME) ./internal/memsys
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/looplang
 	$(GO) run ./cmd/ilanfuzz -runs 500
 

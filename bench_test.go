@@ -415,36 +415,53 @@ func BenchmarkMachineExec(b *testing.B) {
 // all hammering one memory controller, so every task start and completion
 // re-rates all N sharers. This is the path the instant-coalesced refresh
 // and in-place rescheduling optimize; the sweep over N exposes any
-// superlinear growth in the sharer count. b.N counts task executions.
+// superlinear growth in the sharer count. The gather cases are the shape
+// of CG's and SP's gathers in a co-run: every task pulls from all eight
+// controllers and the inter-socket link, so a refresh rates nine resources
+// and a boundary sweeps nine sharer lists. b.N counts task executions.
 func BenchmarkRefreshStorm(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			m := benchMachine(1)
-			r := m.Memory().NewRegion("hot", 64*memsys.BlockSize)
-			r.PlaceOnNode(0)
-			acc := []memsys.Access{{Region: r, Offset: 0, Bytes: 8 * memsys.BlockSize, Pattern: memsys.Stream}}
-			done := 0
-			// One relaunch callback per core, bound before the timer: the
-			// measured loop itself must stay allocation-free.
-			relaunch := make([]func(), n)
-			for c := 0; c < n; c++ {
-				c := c
-				relaunch[c] = func() {
-					done++
-					if done < b.N {
-						m.Exec(c, 1e-6, acc, relaunch[c])
-					}
-				}
-			}
-			b.ResetTimer()
-			for c := 0; c < n && c < b.N; c++ {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { refreshStorm(b, n, false) })
+	}
+	for _, n := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("gather/N=%d", n), func(b *testing.B) { refreshStorm(b, n, true) })
+	}
+}
+
+func refreshStorm(b *testing.B, n int, gather bool) {
+	b.ReportAllocs()
+	m := benchMachine(1)
+	r := m.Memory().NewRegion("hot", 64*memsys.BlockSize)
+	acc := []memsys.Access{{Region: r, Offset: 0, Bytes: 8 * memsys.BlockSize, Pattern: memsys.Stream}}
+	if gather {
+		nodes := make([]int, m.Topology().NumNodes())
+		for i := range nodes {
+			nodes[i] = i
+		}
+		r.PlaceBlocked(nodes)
+		acc[0].Span, acc[0].Pattern = r.Size(), memsys.Gather
+	} else {
+		r.PlaceOnNode(0)
+	}
+	done := 0
+	// One relaunch callback per core, bound before the timer: the
+	// measured loop itself must stay allocation-free.
+	relaunch := make([]func(), n)
+	for c := 0; c < n; c++ {
+		c := c
+		relaunch[c] = func() {
+			done++
+			if done < b.N {
 				m.Exec(c, 1e-6, acc, relaunch[c])
 			}
-			if err := m.Engine().Run(); err != nil {
-				b.Fatal(err)
-			}
-		})
+		}
+	}
+	b.ResetTimer()
+	for c := 0; c < n && c < b.N; c++ {
+		m.Exec(c, 1e-6, acc, relaunch[c])
+	}
+	if err := m.Engine().Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -455,7 +472,7 @@ func BenchmarkResolver(b *testing.B) {
 	topo := topology.MustNew(topology.Zen4Vera())
 	mem := memsys.NewMemory(topo)
 	res := memsys.NewResourceSet(topo)
-	caches := memsys.NewCacheSet(topo)
+	caches := memsys.NewCacheSet(mem)
 	rv := memsys.NewResolver(topo, res, caches)
 	r := mem.NewRegion("r", 1<<30)
 	acc := []memsys.Access{

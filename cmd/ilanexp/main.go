@@ -146,26 +146,9 @@ func main() {
 		cfg.Multi = &harness.CoRun{Benches: splitList(*corun), ArrivalSpreadSec: *spread}
 	}
 	if *benchList != "" {
-		req.Benches = nil
-		docs := map[string]bool{}
-		for _, name := range splitList(*benchList) {
-			if path, ok := strings.CutPrefix(name, "@"); ok {
-				b, err := document(path, spec)
-				if err != nil {
-					usage("%v", err)
-				}
-				if _, builtin := workloads.ByName(b.Name); builtin || docs[b.Name] {
-					usage("%s: document name %q is taken by a built-in benchmark or another -bench entry", path, b.Name)
-				}
-				docs[b.Name] = true
-				req.Benches = append(req.Benches, b)
-				continue
-			}
-			b, ok := workloads.ByName(name)
-			if !ok {
-				usage("unknown benchmark %q", name)
-			}
-			req.Benches = append(req.Benches, b)
+		var err error
+		if req.Benches, err = benches(*benchList, spec); err != nil {
+			usage("%v", err)
 		}
 	}
 	if e.Accepts&harness.AcceptSweep != 0 {
@@ -319,6 +302,38 @@ func checkFlags(e *harness.Experiment, set map[string]bool) error {
 		}
 	}
 	return nil
+}
+
+// benches resolves a -bench list of built-in names and @path documents.
+// Each benchmark may appear once: a repeat would print its row twice,
+// count it twice in the geometric mean and simulate every unit twice.
+func benches(list string, topo topology.Spec) ([]workloads.Benchmark, error) {
+	var out []workloads.Benchmark
+	seen := map[string]bool{}
+	for _, name := range splitList(list) {
+		if path, ok := strings.CutPrefix(name, "@"); ok {
+			b, err := document(path, topo)
+			if err != nil {
+				return nil, err
+			}
+			if _, builtin := workloads.ByName(b.Name); builtin || seen[b.Name] {
+				return nil, fmt.Errorf("%s: document name %q is taken by a built-in benchmark or another -bench entry", path, b.Name)
+			}
+			seen[b.Name] = true
+			out = append(out, b)
+			continue
+		}
+		b, ok := workloads.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown benchmark %q", name)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("benchmark %q appears twice in -bench", name)
+		}
+		seen[name] = true
+		out = append(out, b)
+	}
+	return out, nil
 }
 
 // document reads a -bench @path entry: the looplang document at path, as

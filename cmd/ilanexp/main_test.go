@@ -102,3 +102,38 @@ func TestDocumentEntry(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchList: -bench takes built-in names and documents, each once.
+// Every rejection is a usage error naming the entry.
+func TestBenchList(t *testing.T) {
+	const example = "@../../testdata/looplang/example.json"
+	tests := []struct {
+		list    string
+		want    []string // benchmark names in order, or nil for an error
+		errName string   // what the error must name
+	}{
+		{"CG", []string{"CG"}, ""},
+		{"CG, FT,SP", []string{"CG", "FT", "SP"}, ""},
+		{"CG," + example, []string{"CG", "example"}, ""},
+		{"CG,CG", nil, `"CG"`},
+		{"FT,CG,FT", nil, `"FT"`},
+		{"CG,XX", nil, `"XX"`},
+		{example + "," + example, nil, "example.json"},
+	}
+	for _, tc := range tests {
+		got, err := benches(tc.list, topology.SmallTest())
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.errName) {
+				t.Errorf("-bench %s: err = %v, want an error naming %s", tc.list, err, tc.errName)
+			}
+			continue
+		}
+		var names []string
+		for _, b := range got {
+			names = append(names, b.Name)
+		}
+		if err != nil || strings.Join(names, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("-bench %s = %v, %v; want %v", tc.list, names, err, tc.want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
 
@@ -55,7 +56,7 @@ func TestRunOneAllocBudget(t *testing.T) {
 		_, err := RunOne(b, KindILAN, cfg, 0)
 		return err
 	})
-	checkBudget(t, "CG/ilan unit", count, bytes, 1200, 192_000)
+	checkBudget(t, "CG/ilan unit", count, bytes, 855, 153_500)
 }
 
 // TestRunMultiOneAllocBudget is TestRunOneAllocBudget for a co-run unit:
@@ -69,5 +70,74 @@ func TestRunMultiOneAllocBudget(t *testing.T) {
 		_, err := RunMultiOne([]workloads.Benchmark{cg, ft}, KindILAN, cfg, 0)
 		return err
 	})
-	checkBudget(t, "CG+FT/ilan co-run unit", count, bytes, 1680, 273_000)
+	checkBudget(t, "CG+FT/ilan co-run unit", count, bytes, 1260, 223_000)
+}
+
+// work is what one unit costs the simulator, in counts that depend only on
+// the inputs and not on the host.
+type work struct {
+	events      uint64 // engine events fired
+	reschedules uint64 // in-place moves of pending completion events
+	rateEvals   uint64 // remaining-time evaluations (one per refresh)
+	l3Lookups   uint64 // block-granular L3 lookups, hits plus misses
+	steals      int    // steal attempts, summed over programs
+}
+
+// unitWork runs a solo unit (one benchmark) or a co-run unit (several) of
+// cfg at repetition 0 on the machine RunOne and RunMultiOne build, and
+// returns its work counts.
+func unitWork(t *testing.T, cfg Config, benches ...workloads.Benchmark) work {
+	t.Helper()
+	m := buildMachine(cfg, 0)
+	var w work
+	if len(benches) == 1 {
+		prog := benches[0].Build(m, cfg.Class)
+		res, err := taskrt.New(m, NewScheduler(KindILAN), taskrt.DefaultCosts()).RunProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.steals = res.StealAttempts
+	} else {
+		wl := workloads.CoRunWorkload(m, benches, cfg.Class, cfg.Multi.ArrivalSpreadSec)
+		res, err := taskrt.New(m, NewScheduler(KindILAN), taskrt.DefaultCosts()).RunWorkload(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Programs {
+			w.steals += p.StealAttempts
+		}
+	}
+	eng := m.Engine()
+	hits, misses := m.Caches().Stats()
+	w.events, w.reschedules, w.rateEvals, w.l3Lookups = eng.Processed(), eng.Rescheduled(), m.RateEvaluations(), hits+misses
+	return w
+}
+
+// TestWorkBudget pins the exact work of the two units the allocation
+// budgets above measure. Host time is too noisy to gate, but these counts
+// are deterministic: a change that makes the simulator cheaper per event
+// keeps every one of them, and one that moves any of them (a refresh that
+// re-rates tasks whose rates did not change, a cache model that looks up
+// more blocks) must update the budget and say why.
+func TestWorkBudget(t *testing.T) {
+	cg, _ := workloads.ByName("CG")
+	ft, _ := workloads.ByName("FT")
+	cfg := budgetConfig()
+	t.Run("CG", func(t *testing.T) {
+		checkWork(t, unitWork(t, cfg, cg), work{
+			events: 9132, reschedules: 31962, rateEvals: 34426, l3Lookups: 104962, steals: 5959})
+	})
+	t.Run("CG+FT", func(t *testing.T) {
+		cfg.Multi = &CoRun{Benches: []string{"CG", "FT"}}
+		checkWork(t, unitWork(t, cfg, cg, ft), work{
+			events: 20230, reschedules: 220272, rateEvals: 227856, l3Lookups: 439722, steals: 11233})
+	})
+}
+
+func checkWork(t *testing.T, got, want work) {
+	t.Helper()
+	t.Logf("%+v", got)
+	if got != want {
+		t.Errorf("work = %+v, want %+v", got, want)
+	}
 }

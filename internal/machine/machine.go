@@ -99,10 +99,12 @@ type Machine struct {
 	coreSpeed []float64
 
 	running    []*fluidTask   // by core; nil when idle
+	nRunning   int            // non-nil entries of running
 	byResource [][]*fluidTask // active tasks per resource
-	// ls holds the per-resource load/service aggregates side by side: the
-	// rate computation reads both for every resource of every sharer at every
-	// task boundary, so keeping the pair on one cache line matters.
+	// ls holds the per-resource load, service and delivered-bandwidth
+	// aggregates side by side: the rate computation reads them for every
+	// resource of every sharer at every task boundary, so keeping them on
+	// one cache line matters.
 	ls           []loadSvc
 	externalLoad []float64 // sustained interferer load (DisturbNode)
 	// nCtrl caches the controller count: resource r is a memory controller
@@ -132,6 +134,7 @@ type Machine struct {
 
 	busySeconds  []float64 // per-core task execution time
 	tasksStarted uint64
+	rateEvals    uint64        // remainingTime evaluations (RateEvaluations)
 	demand       memsys.Demand // scratch buffer
 	counters     Counters
 
@@ -152,10 +155,14 @@ type Machine struct {
 	lastAttr   obs.TaskAttr
 }
 
-// loadSvc pairs the two per-resource aggregates the rate computation needs.
+// loadSvc holds the per-resource aggregates the rate computation needs.
+// eff is a function of load alone (the resource's bandwidth and α/β never
+// change after New), so it is recomputed wherever load changes (setLoad)
+// instead of once per sharer per refresh.
 type loadSvc struct {
 	load float64 // queue-pressure load (drives efficiency)
 	svc  float64 // service-weight sum (drives fair shares)
+	eff  float64 // delivered bandwidth under load: res.Eff(bw_r, load)
 }
 
 // resShare is one task's stake in one bandwidth resource. The active
@@ -261,9 +268,9 @@ func New(cfg Config) *Machine {
 		m.res.Beta = 0
 	}
 	if cfg.DisableL3 {
-		m.caches = memsys.NewDisabledCacheSet(cfg.Topo)
+		m.caches = memsys.NewDisabledCacheSet(m.mem)
 	} else {
-		m.caches = memsys.NewCacheSet(cfg.Topo)
+		m.caches = memsys.NewCacheSet(m.mem)
 	}
 	m.resolver = memsys.NewResolver(cfg.Topo, m.res, m.caches)
 
@@ -274,6 +281,10 @@ func New(cfg Config) *Machine {
 	m.ls = make([]loadSvc, m.res.Count())
 	m.externalLoad = make([]float64, m.res.Count())
 	m.nCtrl = cfg.Topo.NumNodes()
+	for r := range m.ls {
+		m.setLoad(r, 0)
+	}
+	m.ftFree = make([]*fluidTask, 0, nc)
 	m.coreSpeed = make([]float64, nc)
 	m.counters.ResourceBytes = make([]float64, m.res.Count())
 	m.counters.RealizedBytes = make([]float64, m.res.Count())
@@ -315,7 +326,10 @@ func (m *Machine) Topology() *topology.Machine { return m.topo }
 // Memory returns the machine's memory system (for region allocation).
 func (m *Machine) Memory() *memsys.Memory { return m.mem }
 
-// Resources returns the bandwidth resource set (for calibration tweaks).
+// Resources returns the bandwidth resource set. Its bandwidths, Alpha and
+// Beta are read-only once New returns: the machine caches each resource's
+// delivered bandwidth under its current load (loadSvc.eff), and a later
+// write would leave that cache stale. Calibrate through Config instead.
 func (m *Machine) Resources() *memsys.ResourceSet { return m.res }
 
 // Caches returns the L3 cache models.
@@ -332,6 +346,12 @@ func (m *Machine) BusySeconds(core int) float64 { return m.busySeconds[core] }
 
 // TasksStarted returns the number of Exec calls.
 func (m *Machine) TasksStarted() uint64 { return m.tasksStarted }
+
+// RateEvaluations returns how many times a running task's remaining time
+// was computed: one per refresh. Like sim.Engine.Rescheduled it measures
+// the simulator's work, not what the simulation does, so it is for work
+// budgets and benchmarks only and is never exported through obs.
+func (m *Machine) RateEvaluations() uint64 { return m.rateEvals }
 
 // Busy reports whether a core is currently executing a task.
 func (m *Machine) Busy(core int) bool { return m.running[core] != nil }
@@ -383,7 +403,7 @@ func (m *Machine) DisturbNode(node int, coreSlowdown, memLoad float64) {
 	if m.obsOn {
 		m.obsAccumLoad(ctrl)
 	}
-	m.ls[ctrl].load += memLoad
+	m.setLoad(ctrl, m.ls[ctrl].load+memLoad)
 	m.externalLoad[ctrl] += memLoad
 }
 
@@ -421,15 +441,24 @@ func (m *Machine) Exec(core int, computeSec float64, accesses []memsys.Access, d
 	ft.compute0 = ft.compute
 	m.counters.Tasks++
 	m.counters.ComputeSeconds += ft.compute
+	touched := 0
 	for r, b := range m.demand.ResBytes {
 		m.counters.ResourceBytes[r] += b
+		if b > 0 {
+			touched++
+		}
+	}
+	// A pooled task keeps its arrays; a fresh one (or one that now touches
+	// more resources than before) gets them at the size this task needs.
+	if cap(ft.res) < touched {
+		ft.res = make([]resShare, 0, touched)
+	}
+	if touched > 0 && ft.pos == nil {
+		ft.pos = make([]int, len(m.demand.ResBytes))
 	}
 	var totalBytes float64
 	for r, b := range m.demand.ResBytes {
 		if b > 0 {
-			if ft.pos == nil {
-				ft.pos = make([]int, len(m.demand.ResBytes))
-			}
 			jb := b * jitter
 			ft.res = append(ft.res, resShare{r: r, bytes: jb})
 			// Realized traffic is the jittered bytes the fluid model will
@@ -456,12 +485,13 @@ func (m *Machine) Exec(core int, computeSec float64, accesses []memsys.Access, d
 	// whose population changed (including the new task itself); touch
 	// defers the refresh to the end of the instant.
 	affected := m.collectAffected(ft)
+	m.nRunning++
 	for i := range ft.res {
 		e := &ft.res[i]
 		if m.obsOn {
 			m.obsAccumLoad(e.r)
 		}
-		m.ls[e.r].load += e.loadW
+		m.setLoad(e.r, m.ls[e.r].load+e.loadW)
 		m.ls[e.r].svc += e.weight
 		ft.pos[e.r] = len(m.byResource[e.r])
 		m.byResource[e.r] = append(m.byResource[e.r], ft)
@@ -473,18 +503,30 @@ func (m *Machine) Exec(core int, computeSec float64, accesses []memsys.Access, d
 }
 
 // collectAffected returns the distinct running tasks (other than ft) that
-// share at least one resource with ft. Distinctness uses epoch marking
-// over a reused scratch slice instead of a per-call map; the returned
-// slice is only valid until the next collectAffected call.
+// share at least one resource with ft, in first-occurrence order over ft's
+// resource lists: that order is the touch order. Distinctness uses epoch
+// marking over a reused scratch slice instead of a per-call map; the
+// returned slice is only valid until the next collectAffected call.
+//
+// ft is not counted in nRunning here, so once the sweep holds nRunning
+// tasks it holds every other running task, and the lists left to walk can
+// add none: the sweep stops. When every running task gathers over every
+// controller (CG, SP), the first list already holds them all.
 func (m *Machine) collectAffected(ft *fluidTask) []*fluidTask {
 	m.epoch++
 	ft.mark = m.epoch
 	out := m.affected[:0]
-	for i := range ft.res {
-		for _, t := range m.byResource[ft.res[i].r] {
-			if t.mark != m.epoch {
-				t.mark = m.epoch
-				out = append(out, t)
+	if m.nRunning > 0 {
+	sweep:
+		for i := range ft.res {
+			for _, t := range m.byResource[ft.res[i].r] {
+				if t.mark != m.epoch {
+					t.mark = m.epoch
+					out = append(out, t)
+					if len(out) == m.nRunning {
+						break sweep
+					}
+				}
 			}
 		}
 	}
@@ -504,6 +546,7 @@ func (m *Machine) collectAffected(ft *fluidTask) []*fluidTask {
 // rate = EffectiveBandwidth(r, load_r) * w/svc_r, so its service time there
 // is bytes * svc_r / (w * EffBW(load_r)).
 func (m *Machine) remainingTime(ft *fluidTask) float64 {
+	m.rateEvals++
 	t := ft.compute / m.coreSpeed[ft.core]
 	var memMax, ctrlBytes float64
 	for i := range ft.res {
@@ -512,10 +555,8 @@ func (m *Machine) remainingTime(ft *fluidTask) float64 {
 		if b <= 0 {
 			continue
 		}
-		bw := m.res.LinkBW
 		if e.r < m.nCtrl {
 			ctrlBytes += b
-			bw = m.res.ControllerBW
 		}
 		w := e.weight
 		ls := &m.ls[e.r]
@@ -523,11 +564,12 @@ func (m *Machine) remainingTime(ft *fluidTask) float64 {
 		if svc < w {
 			svc = w // numerical guard: a task is always part of the share sum
 		}
-		load := ls.load
-		if load < e.loadW {
-			load = e.loadW
+		eff := ls.eff
+		if ls.load < e.loadW {
+			// Numerical guard: a task is always part of the load too.
+			eff = m.res.Eff(m.peakBW(e.r), e.loadW)
 		}
-		rate := m.res.Eff(bw, load) * w / svc
+		rate := eff * w / svc
 		if mt := b / rate; mt > memMax {
 			memMax = mt
 		}
@@ -536,6 +578,22 @@ func (m *Machine) remainingTime(ft *fluidTask) float64 {
 		memMax = port
 	}
 	return t + memMax
+}
+
+// peakBW returns resource r's bandwidth before contention.
+func (m *Machine) peakBW(r int) float64 {
+	if r < m.nCtrl {
+		return m.res.ControllerBW
+	}
+	return m.res.LinkBW
+}
+
+// setLoad sets resource r's queue-pressure load and recomputes the
+// bandwidth it delivers under it. Every write of a load goes through here,
+// which keeps ls[r].eff equal to res.Eff(peakBW(r), ls[r].load) bit for bit.
+func (m *Machine) setLoad(r int, load float64) {
+	m.ls[r].load = load
+	m.ls[r].eff = m.res.Eff(m.peakBW(r), load)
 }
 
 // advance drains a task's remaining components proportionally up to now.
@@ -653,6 +711,7 @@ func (m *Machine) complete(ft *fluidTask) {
 		m.attrComplete(ft, float64(now-ft.started))
 	}
 	m.running[ft.core] = nil
+	m.nRunning--
 	for i := range ft.res {
 		e := &ft.res[i]
 		r := e.r
@@ -660,11 +719,12 @@ func (m *Machine) complete(ft *fluidTask) {
 			m.obsAccumLoad(r)
 		}
 		ls := &m.ls[r]
-		ls.load -= e.loadW
-		ls.svc -= e.weight
-		if ls.load < m.externalLoad[r] {
-			ls.load = m.externalLoad[r] // float drift guard
+		load := ls.load - e.loadW
+		if load < m.externalLoad[r] {
+			load = m.externalLoad[r] // float drift guard
 		}
+		m.setLoad(r, load)
+		ls.svc -= e.weight
 		if ls.svc < 0 {
 			ls.svc = 0
 		}

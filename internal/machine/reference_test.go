@@ -240,9 +240,11 @@ func runRefScenario(tb testing.TB, src *refSource) *refRun {
 		cfg.CoreStreamBW = 5e9 + 20e9*src.frac()
 	}
 	m := New(cfg)
+	checkEff(tb, m)
 	if src.intn(3) == 0 {
 		m.DisturbNode(src.intn(topo.NumNodes()), 0.3+0.7*src.frac(), 8*src.frac())
 		run.feats["DisturbNode"] = true
+		checkEff(tb, m)
 	}
 	run.model = newRefModel(m)
 
@@ -317,6 +319,7 @@ func runRefScenario(tb testing.TB, src *refSource) *refRun {
 	launch = func(core int, chain []refStep) {
 		id := len(run.tasks)
 		m.Exec(core, chain[0].compute, chain[0].acc, func() {
+			checkEff(tb, m)
 			run.finish[id] = float64(eng.Now())
 			if len(chain) == 1 {
 				return
@@ -327,6 +330,7 @@ func runRefScenario(tb testing.TB, src *refSource) *refRun {
 				launch(core, chain[1:])
 			}
 		})
+		checkEff(tb, m)
 		ft := m.running[core]
 		run.tasks = append(run.tasks, refTask{
 			start:   float64(ft.started),
@@ -365,6 +369,20 @@ func runRefScenario(tb testing.TB, src *refSource) *refRun {
 		}
 	}
 	return run
+}
+
+// checkEff requires every resource's cached delivered bandwidth to be the
+// one the contention formula gives for its current load, bit for bit. The
+// scenario calls it after every load change: New, DisturbNode, every Exec
+// and every completion.
+func checkEff(tb testing.TB, m *Machine) {
+	tb.Helper()
+	for r, ls := range m.ls {
+		bw := m.res.Bandwidth(memsys.ResourceID(r))
+		if want := m.res.Eff(bw, ls.load); math.Float64bits(ls.eff) != math.Float64bits(want) {
+			tb.Fatalf("t=%v: resource %d caches eff %v at load %v, Eff gives %v", m.eng.Now(), r, ls.eff, ls.load, want)
+		}
+	}
 }
 
 // refTolerance bounds the relative difference between a production

@@ -200,42 +200,46 @@ func TestPerStreamRatePanicsOnZero(t *testing.T) {
 }
 
 func TestCCDCacheLRU(t *testing.T) {
-	c := newCCDCache(2)
-	if c.touch(makeBlockKey(0, 0)) {
+	cs, regions := cacheFixture(t, 2, 2, false, 3)
+	r := regions[0]
+	if cs.Touch(0, r, 0) {
 		t.Fatal("first touch should miss")
 	}
-	if c.touch(makeBlockKey(0, 1)) {
+	if cs.Touch(0, r, 1) {
 		t.Fatal("first touch should miss")
 	}
-	if !c.touch(makeBlockKey(0, 0)) {
+	if !cs.Touch(0, r, 0) {
 		t.Fatal("second touch should hit")
 	}
 	// Insert third block: evicts block 1 (LRU), not block 0.
-	c.touch(makeBlockKey(0, 2))
-	if !c.contains(makeBlockKey(0, 0)) {
+	cs.Touch(0, r, 2)
+	if !cs.Contains(0, r, 0) {
 		t.Fatal("block 0 (MRU) was evicted")
 	}
-	if c.contains(makeBlockKey(0, 1)) {
+	if cs.Contains(0, r, 1) {
 		t.Fatal("block 1 (LRU) survived eviction")
 	}
 }
 
 func TestCacheSetSeparatesCCDs(t *testing.T) {
-	topo := testTopo(t)
-	cs := NewCacheSet(topo)
-	cs.Touch(0, 0, 5)
-	if cs.Contains(1, 0, 5) {
+	mem := NewMemory(testTopo(t))
+	cs := NewCacheSet(mem)
+	r := mem.NewRegion("a", 8*BlockSize)
+	cs.Touch(0, r, 5)
+	if cs.Contains(1, r, 5) {
 		t.Fatal("block leaked across CCDs")
 	}
-	if !cs.Contains(0, 0, 5) {
+	if !cs.Contains(0, r, 5) {
 		t.Fatal("block not resident in touched CCD")
 	}
 }
 
 func TestCacheSetHitRateAndReset(t *testing.T) {
-	cs := NewCacheSet(testTopo(t))
-	cs.Touch(0, 0, 1) // miss
-	cs.Touch(0, 0, 1) // hit
+	mem := NewMemory(testTopo(t))
+	cs := NewCacheSet(mem)
+	r := mem.NewRegion("a", 2*BlockSize)
+	cs.Touch(0, r, 1) // miss
+	cs.Touch(0, r, 1) // hit
 	if got := cs.HitRate(); got != 0.5 {
 		t.Fatalf("HitRate = %g, want 0.5", got)
 	}
@@ -243,8 +247,11 @@ func TestCacheSetHitRateAndReset(t *testing.T) {
 	if cs.HitRate() != 0 {
 		t.Fatal("HitRate not zero after Reset")
 	}
-	if cs.Contains(0, 0, 1) {
+	if cs.Contains(0, r, 1) {
 		t.Fatal("cache not emptied by Reset")
+	}
+	if cs.Touch(0, r, 1) {
+		t.Fatal("a block hit after Reset")
 	}
 }
 
@@ -252,7 +259,7 @@ func newResolver(t *testing.T) (*Resolver, *Memory) {
 	t.Helper()
 	topo := testTopo(t)
 	mem := NewMemory(topo)
-	return NewResolver(topo, NewResourceSet(topo), NewCacheSet(topo)), mem
+	return NewResolver(topo, NewResourceSet(topo), NewCacheSet(mem)), mem
 }
 
 func TestResolveLocalStream(t *testing.T) {
@@ -426,7 +433,7 @@ func TestPropertyResolveConservation(t *testing.T) {
 		nb := 1 + int(blocks%8)
 		node := int(nodeRaw) % topo.NumNodes()
 		mem := NewMemory(topo)
-		rv := NewResolver(topo, NewResourceSet(topo), NewCacheSet(topo))
+		rv := NewResolver(topo, NewResourceSet(topo), NewCacheSet(mem))
 		r := mem.NewRegion("a", int64(nb)*BlockSize)
 		r.PlaceOnNode(node)
 		pat := Stream

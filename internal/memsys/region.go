@@ -24,10 +24,16 @@ const BlockSize int64 = 2 << 20
 // Region is a contiguous simulated allocation whose blocks are homed on
 // NUMA nodes. Regions are created through Memory.NewRegion.
 type Region struct {
+	mem    *Memory
 	id     int
 	name   string
 	size   int64
 	blocks []int16 // home node per block
+	// resident holds one bit per (block, CCD), bit block*NumCCDs+ccd, set
+	// while the block is in that CCD's L3 model (see CacheSet). Packed
+	// bits cost two bytes per 2 MB block on the paper's 16 CCDs and work
+	// for any CCD count.
+	resident []uint64
 }
 
 // ID returns the region's dense identifier.
@@ -58,6 +64,7 @@ func (r *Region) blockOf(offset int64) int {
 type Memory struct {
 	topo    *topology.Machine
 	regions []*Region
+	caches  *CacheSet // the cache set whose residency bits the regions hold
 }
 
 // NewMemory creates an empty memory system for the given topology.
@@ -80,7 +87,8 @@ func (m *Memory) NewRegion(name string, size int64) *Region {
 		panic(fmt.Sprintf("memsys: region %q with non-positive size %d", name, size))
 	}
 	nblocks := int((size + BlockSize - 1) / BlockSize)
-	r := &Region{id: len(m.regions), name: name, size: size, blocks: make([]int16, nblocks)}
+	r := &Region{mem: m, id: len(m.regions), name: name, size: size, blocks: make([]int16, nblocks),
+		resident: make([]uint64, (nblocks*m.topo.NumCCDs()+63)/64)}
 	m.regions = append(m.regions, r)
 	return r
 }

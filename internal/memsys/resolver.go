@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"fmt"
+
 	"github.com/ilan-sched/ilan/internal/topology"
 )
 
@@ -63,11 +65,31 @@ type Resolver struct {
 	topo   *topology.Machine
 	res    *ResourceSet
 	caches *CacheSet
+	// routes[coreNode*NumNodes+home] is where a block homed on home goes
+	// when a core of coreNode misses it: the distance inflation, the home
+	// controller and the inter-socket link (-1 within a socket).
+	routes []route
+}
+
+type route struct {
+	dist       float64
+	ctrl, link int32
 }
 
 // NewResolver wires a resolver over a topology, resource set and cache set.
 func NewResolver(topo *topology.Machine, res *ResourceSet, caches *CacheSet) *Resolver {
-	return &Resolver{topo: topo, res: res, caches: caches}
+	n := topo.NumNodes()
+	rv := &Resolver{topo: topo, res: res, caches: caches, routes: make([]route, n*n)}
+	for from := 0; from < n; from++ {
+		for home := 0; home < n; home++ {
+			rv.routes[from*n+home] = route{
+				dist: topo.Distance(from, home),
+				ctrl: int32(res.Controller(home)),
+				link: int32(res.Link(topo.SocketOfNode(from), topo.SocketOfNode(home))),
+			}
+		}
+	}
+	return rv
 }
 
 // Resources returns the resolver's resource set.
@@ -84,12 +106,21 @@ func (rv *Resolver) Caches() *CacheSet { return rv.caches }
 func (rv *Resolver) Resolve(core int, accesses []Access, dem *Demand) {
 	dem.Reset(rv.res.Count())
 	ccd := rv.topo.CCDOfCore(core)
+	n := rv.topo.NumNodes()
 	coreNode := rv.topo.NodeOfCore(core)
-	coreSocket := rv.topo.SocketOfNode(coreNode)
+	routes := rv.routes[coreNode*n : coreNode*n+n]
+	// The sums accumulate in locals, block by block in the order they
+	// always did, and are stored once at the end: the same additions in
+	// the same order give the same bits.
+	resBytes, resLoad := dem.ResBytes, dem.ResLoad
+	var cacheSec, localBytes, localLoad float64
 
 	for _, a := range accesses {
 		if err := a.validate(); err != nil {
 			panic(err)
+		}
+		if a.Region.mem != rv.caches.mem {
+			panic(fmt.Sprintf("memsys: region %q belongs to another machine's memory", a.Region.name))
 		}
 		if a.Bytes == 0 {
 			continue
@@ -106,25 +137,27 @@ func (rv *Resolver) Resolve(core int, accesses []Access, dem *Demand) {
 		}
 		pressure := a.Pattern.QueuePressure()
 
-		for b := firstBlock; b <= lastBlock; b++ {
-			if rv.caches.Touch(ccd, a.Region.ID(), b) {
-				dem.CacheSeconds += bytesPerBlock / L3Bandwidth
-				continue
-			}
-			home := int(a.Region.blocks[b])
-			raw := bytesPerBlock * inflate
-			dist := rv.topo.Distance(coreNode, home)
-			ctrl := rv.res.Controller(home)
-			dem.ResBytes[ctrl] += raw * dist
-			dem.ResLoad[ctrl] += raw * dist * pressure
-			dem.LocalBytes += raw
-			dem.LocalLoad += raw * pressure
-			homeSocket := rv.topo.SocketOfNode(home)
-			if homeSocket != coreSocket {
-				link := rv.res.Link(coreSocket, homeSocket)
-				dem.ResBytes[link] += raw
-				dem.ResLoad[link] += raw
+		homes := a.Region.blocks
+		for lo := firstBlock; lo <= lastBlock; lo += 64 {
+			hi := min(lo+63, lastBlock)
+			hits := rv.caches.touchRange(ccd, a.Region, lo, hi)
+			for b := lo; b <= hi; b++ {
+				if hits&(1<<(b-lo)) != 0 {
+					cacheSec += bytesPerBlock / L3Bandwidth
+					continue
+				}
+				rt := &routes[homes[b]]
+				raw := bytesPerBlock * inflate
+				resBytes[rt.ctrl] += raw * rt.dist
+				resLoad[rt.ctrl] += raw * rt.dist * pressure
+				localBytes += raw
+				localLoad += raw * pressure
+				if rt.link >= 0 {
+					resBytes[rt.link] += raw
+					resLoad[rt.link] += raw
+				}
 			}
 		}
 	}
+	dem.CacheSeconds, dem.LocalBytes, dem.LocalLoad = cacheSec, localBytes, localLoad
 }

@@ -18,7 +18,6 @@ type ResourceSet struct {
 	// (a != b); controllers occupy IDs [0, NumNodes).
 	linkIndex [][]int
 	count     int
-	names     []string
 
 	// ControllerBW is the bandwidth of each node's memory controller in
 	// bytes/second; LinkBW the bandwidth of each inter-socket link.
@@ -57,11 +56,7 @@ func DefaultBandwidth() (controller, link, coreStream, alpha, beta float64) {
 func NewResourceSet(topo *topology.Machine) *ResourceSet {
 	rs := &ResourceSet{topo: topo}
 	rs.ControllerBW, rs.LinkBW, rs.CoreStreamBW, rs.Alpha, rs.Beta = DefaultBandwidth()
-	n := topo.NumNodes()
-	rs.count = n
-	for i := 0; i < n; i++ {
-		rs.names = append(rs.names, fmt.Sprintf("mc%d", i))
-	}
+	rs.count = topo.NumNodes()
 	s := topo.NumSockets()
 	rs.linkIndex = make([][]int, s)
 	for a := 0; a < s; a++ {
@@ -74,7 +69,6 @@ func NewResourceSet(topo *topology.Machine) *ResourceSet {
 		for b := a + 1; b < s; b++ {
 			rs.linkIndex[a][b] = rs.count
 			rs.linkIndex[b][a] = rs.count
-			rs.names = append(rs.names, fmt.Sprintf("link%d-%d", a, b))
 			rs.count++
 		}
 	}
@@ -84,8 +78,22 @@ func NewResourceSet(topo *topology.Machine) *ResourceSet {
 // Count returns the number of resources.
 func (rs *ResourceSet) Count() int { return rs.count }
 
-// Name returns a resource's diagnostic name.
-func (rs *ResourceSet) Name(r ResourceID) string { return rs.names[r] }
+// Name returns a resource's diagnostic name: mcN for node N's controller,
+// linkA-B for the link between sockets A < B. Names are made on demand, for
+// reports, so that building a machine formats none.
+func (rs *ResourceSet) Name(r ResourceID) string {
+	if r >= 0 && rs.IsController(r) {
+		return fmt.Sprintf("mc%d", r)
+	}
+	for a, row := range rs.linkIndex {
+		for b := a + 1; b < len(row); b++ {
+			if row[b] == int(r) {
+				return fmt.Sprintf("link%d-%d", a, b)
+			}
+		}
+	}
+	panic(fmt.Sprintf("memsys: no resource %d", r))
+}
 
 // Controller returns the resource ID of node n's memory controller.
 func (rs *ResourceSet) Controller(node int) ResourceID { return ResourceID(node) }

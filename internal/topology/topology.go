@@ -34,12 +34,15 @@ type Spec struct {
 // Size ceilings for Validate. They are far above any machine the simulator
 // models (the paper's largest sensitivity platform has 128 cores) and exist
 // so that arbitrary specs — e.g. fuzzer-generated ones — cannot overflow
-// the ID arithmetic or allocate unbounded core maps in New.
+// the ID arithmetic or allocate unbounded core maps in New. The L3 ceiling
+// bounds the LRU window the cache model allocates per CCD up front (2 MB
+// blocks, 512 of them at 1 GiB; the paper's L3 is 32 MB).
 const (
 	MaxSockets        = 64
 	MaxNodesPerSocket = 64
 	MaxCoresPerNode   = 1024
 	MaxCores          = 1 << 16
+	MaxL3BytesPerCCD  = 1 << 30
 )
 
 // Validate checks the spec for internal consistency.
@@ -75,6 +78,8 @@ func (s Spec) Validate() error {
 			s.CoresPerCCD, s.CoresPerNode)
 	case s.L3BytesPerCCD <= 0:
 		return fmt.Errorf("topology: L3BytesPerCCD = %d, must be positive", s.L3BytesPerCCD)
+	case s.L3BytesPerCCD > MaxL3BytesPerCCD:
+		return fmt.Errorf("topology: L3BytesPerCCD = %d exceeds maximum %d", s.L3BytesPerCCD, int64(MaxL3BytesPerCCD))
 	case !(s.SameSocketDistance >= 1): // NaN fails this comparison too
 		return fmt.Errorf("topology: SameSocketDistance = %g, must be >= 1", s.SameSocketDistance)
 	case !(s.CrossSocketDistance >= s.SameSocketDistance):

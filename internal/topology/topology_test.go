@@ -37,6 +37,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"zero ccd", func(s *Spec) { s.CoresPerCCD = 0 }},
 		{"ccd not dividing node", func(s *Spec) { s.CoresPerCCD = 3 }},
 		{"zero l3", func(s *Spec) { s.L3BytesPerCCD = 0 }},
+		{"l3 over cap", func(s *Spec) { s.L3BytesPerCCD = MaxL3BytesPerCCD + 1 }},
 		{"distance < 1", func(s *Spec) { s.SameSocketDistance = 0.5 }},
 		{"cross < same", func(s *Spec) { s.CrossSocketDistance = 1.0 }},
 		{"NaN same distance", func(s *Spec) { s.SameSocketDistance = math.NaN() }},
