@@ -54,11 +54,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz=FuzzCacheOrder -fuzztime=$(FUZZTIME) ./internal/memsys
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/looplang
+	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/results
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
 # Reproduce every figure and table at paper scale. `-exp all -reps 30
-# -jobs 2` took 170 s of wall time and 335 s of CPU (user+sys) on a shared
-# 2-core host (196 s and 384 s before loop executions were pooled).
+# -jobs 2` took 122 to 169 s of wall time and 236 to 330 s of CPU
+# (user+sys) on a shared 2-vCPU host, depending on the host's load.
 figures:
 	$(GO) run ./cmd/ilanexp -exp all -reps 30
 

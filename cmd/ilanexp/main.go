@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -108,8 +109,8 @@ func main() {
 	if *cacheMaxMB < 0 {
 		usage("-cache-max-mb must be >= 0 (got %d)", *cacheMaxMB)
 	}
-	if *spread < 0 {
-		usage("-spread must be >= 0 (got %g)", *spread)
+	if math.IsNaN(*spread) || math.IsInf(*spread, 0) || *spread < 0 {
+		usage("-spread must be finite and >= 0 (got %g)", *spread)
 	}
 
 	req := harness.Request{Config: harness.DefaultConfig(), Benches: workloads.All()}
@@ -131,6 +132,10 @@ func main() {
 		usage("unknown topology %q", *topo)
 	}
 	cfg.Topo = spec
+	// machine.DisturbNode panics on a node the topology does not have.
+	if nodes := spec.Sockets * spec.NodesPerSocket; *disturb < -1 || *disturb >= nodes {
+		usage("-disturb %d is neither -1 nor a node of -topo %s (0..%d)", *disturb, *topo, nodes-1)
+	}
 	if *disturb >= 0 {
 		cfg.Disturb = &harness.Disturb{Node: *disturb}
 	}
@@ -144,6 +149,11 @@ func main() {
 	}
 	if e.Accepts&harness.AcceptCoRun != 0 {
 		cfg.Multi = &harness.CoRun{Benches: splitList(*corun), ArrivalSpreadSec: *spread}
+		for _, name := range cfg.Multi.Benches {
+			if _, ok := workloads.ByName(name); !ok {
+				usage("unknown benchmark %q in -corun", name)
+			}
+		}
 	}
 	if *benchList != "" {
 		var err error
@@ -162,6 +172,9 @@ func main() {
 				usage("bad -values entry %q: %v", s, err)
 			}
 			req.Values = append(req.Values, v)
+		}
+		if err := harness.CheckSweepValues(req.Param, req.Values); err != nil {
+			usage("%v", err)
 		}
 	}
 

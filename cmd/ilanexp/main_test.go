@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -134,6 +137,78 @@ func TestBenchList(t *testing.T) {
 		}
 		if err != nil || strings.Join(names, ",") != strings.Join(tc.want, ",") {
 			t.Errorf("-bench %s = %v, %v; want %v", tc.list, names, err, tc.want)
+		}
+	}
+}
+
+// TestFlagValues: a flag value the simulation would reinterpret, repeat or
+// panic on is a usage error. The binary exits 2 with nothing on stdout and
+// neither the -out file nor the cache directory created. Values at the
+// edges of each range run.
+func TestFlagValues(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ilanexp")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, cache := filepath.Join(dir, "o.json"), filepath.Join(dir, "cache")
+	sweep := []string{"-exp", "sweep", "-bench", "Matmul", "-topo", "smalltest", "-param"}
+	fig2 := []string{"-exp", "fig2", "-bench", "Matmul", "-out", out, "-disturb"}
+	multi := []string{"-exp", "multi", "-topo", "smalltest", "-out", out}
+	tests := []struct {
+		args []string
+		ok   bool
+	}{
+		{append(sweep, "beta", "-values", "-1"), false},
+		{append(sweep, "alpha", "-values", "-1"), false},
+		{append(sweep, "alpha", "-values", "NaN"), false},
+		{append(sweep, "beta", "-values", "Inf"), false},
+		{append(sweep, "controllerbw", "-values", "0"), false},
+		{append(sweep, "corebw", "-values", "-5e9"), false},
+		{append(sweep, "linkbw", "-values", "NaN"), false},
+		{append(sweep, "beta", "-values", "0,0"), false},
+		{append(sweep, "controllerbw", "-values", "2e10,4e10,2e10"), false},
+		{append(fig2, "99"), false},
+		{append(fig2, "4", "-topo", "smalltest"), false},
+		{append(fig2, "-5"), false},
+		{append(multi, "-spread", "NaN"), false},
+		{append(multi, "-spread", "Inf"), false},
+		{append(multi, "-corun", "CG,XX"), false},
+		{append(multi, "-corun", "CG,"), false},
+		{append(multi, "-corun", ""), false},
+
+		{append(sweep, "beta", "-values", "0,0.003"), true},
+		{append(sweep, "alpha", "-values", "0"), true},
+		{append(sweep, "linkbw", "-values", "5e9,5e10"), true},
+		{append(fig2, "3", "-topo", "smalltest"), true},
+		{append(fig2, "-1", "-topo", "smalltest"), true},
+		{append(multi, "-corun", "Matmul,Matmul", "-spread", "0.05"), true},
+	}
+	for _, tc := range tests {
+		cmd := exec.Command(bin, append(tc.args, "-class", "test", "-reps", "1", "-q", "-cache-dir", cache)...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if tc.ok {
+			if err != nil || stdout.Len() == 0 {
+				t.Errorf("%v: err = %v, %d bytes of stdout (stderr: %s)", tc.args, err, stdout.Len(), stderr.String())
+			}
+			os.RemoveAll(out)
+			os.RemoveAll(cache)
+			continue
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit 2 (stderr: %s)", tc.args, err, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes to stdout", tc.args, stdout.Len())
+		}
+		for _, path := range []string{out, cache} {
+			if _, err := os.Stat(path); err == nil {
+				t.Errorf("%v: created %s", tc.args, path)
+				os.RemoveAll(path)
+			}
 		}
 	}
 }

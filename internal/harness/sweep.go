@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,6 +53,28 @@ func ParseSweepParam(s string) (SweepParam, error) {
 	}
 }
 
+// CheckSweepValues returns the error for a value list that a sweep of
+// param would not simulate as labelled. machine.Config reads a negative α
+// as "the default", a negative β as "force 0" and a bandwidth of 0 or less
+// as "the default", and NaN and ±Inf are no model value. So α and β must
+// be finite and ≥ 0, each bandwidth finite and > 0, and no value may
+// repeat, which would simulate the point twice.
+func CheckSweepValues(param SweepParam, values []float64) error {
+	if len(values) == 0 {
+		return fmt.Errorf("harness: sweep with no values")
+	}
+	zeroOK := param == SweepAlpha || param == SweepBeta
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v == 0 && !zeroOK {
+			return fmt.Errorf("harness: %s value %g is not a finite model value (α and β ≥ 0, bandwidths > 0)", param, v)
+		}
+		if slices.Contains(values[:i], v) {
+			return fmt.Errorf("harness: %s value %g appears twice", param, v)
+		}
+	}
+	return nil
+}
+
 // applyParam returns cfg with one machine-model parameter overridden.
 func applyParam(cfg Config, param SweepParam, v float64) (Config, error) {
 	c := cfg
@@ -83,8 +107,8 @@ func applyParam(cfg Config, param SweepParam, v float64) (Config, error) {
 // from pool workers but are serialized, so the callback needs no locking.
 func Sweep(bench workloads.Benchmark, param SweepParam, values []float64,
 	cfg Config, progress func(v float64)) ([]SweepPoint, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("harness: sweep with no values")
+	if err := CheckSweepValues(param, values); err != nil {
+		return nil, err
 	}
 	kinds := [2]Kind{KindBaseline, KindILAN}
 	var cp campaign

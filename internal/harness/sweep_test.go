@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,23 @@ func TestSweepErrors(t *testing.T) {
 	}
 	if _, err := Sweep(b, SweepParam("bogus"), []float64{1}, cfg, nil); err == nil {
 		t.Fatal("unknown parameter accepted")
+	}
+	// Values machine.Config would reinterpret, and a repeated point.
+	for _, tc := range []struct {
+		param  SweepParam
+		values []float64
+	}{
+		{SweepBeta, []float64{-1}},
+		{SweepAlpha, []float64{math.NaN()}},
+		{SweepAlpha, []float64{math.Inf(1)}},
+		{SweepControllerBW, []float64{0}},
+		{SweepLinkBW, []float64{-1}},
+		{SweepCoreBW, []float64{math.Inf(1)}},
+		{SweepBeta, []float64{0, 0.003, 0}},
+	} {
+		if _, err := Sweep(b, tc.param, tc.values, cfg, nil); err == nil {
+			t.Errorf("Sweep(%s, %v) accepted", tc.param, tc.values)
+		}
 	}
 }
 

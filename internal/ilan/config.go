@@ -102,7 +102,6 @@ type loopState struct {
 
 	chosen        Config  // final/current best configuration
 	bestStrictSec float64 // mean time of chosen thread count under strict
-	fullSec       float64 // measured time of the steal_policy=full trial
 
 	// Per-node performance history (for node_mask selection).
 	nodeSec   []float64
@@ -112,14 +111,6 @@ type loopState struct {
 	// execution's memory intensity shows the loop cannot profit from
 	// moldability; the search then settles at full width immediately.
 	skipExplore bool
-
-	// strictFracPct is the loop's current strict/stealable split in
-	// integer percent when adaptive migration tuning is on (0 = use the
-	// scheduler default). Kept on the 1/100 grid so the repeated ±0.1
-	// steps of §3.3 cannot accumulate binary-float drift; lastGreens is
-	// the number of stealable tasks the last plan created.
-	strictFracPct int
-	lastGreens    int
 
 	// history records every execution for diagnostics (Regret, History).
 	history []ExecRecord
@@ -135,9 +126,6 @@ type ExecRecord struct {
 	Cfg        Config
 	Phase      Phase // phase during which the execution was planned
 	ElapsedSec float64
-	// Score is the objective value the selection used (equals ElapsedSec
-	// under the default time objective).
-	Score float64
 }
 
 // fastestTwo returns the best and second-best tried configurations by mean

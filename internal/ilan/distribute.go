@@ -18,13 +18,13 @@ import (
 //   - Under the strict steal policy every task is NUMA-strict. Under the
 //     full policy the leading StrictFraction of each node's tasks stays
 //     strict (yellow) and the tail is stealable across nodes (green).
-func (s *Scheduler) buildPlan(plan *taskrt.Plan, spec *taskrt.LoopSpec, topo *topology.Machine, cfg Config, strictFraction float64) *taskrt.Plan {
+func (s *Scheduler) buildPlan(plan *taskrt.Plan, spec *taskrt.LoopSpec, topo *topology.Machine, cfg Config) *taskrt.Plan {
 	plan.Active = append(plan.Active, cfg.Cores...)
 	plan.Mode = taskrt.StealHierarchical
 	plan.InterNodeSteal = cfg.StealFull
-	plan.SelectOverheadSec = s.opts.SelectCostSec +
-		s.opts.SelectPerThreadSec*float64(len(cfg.Cores)) +
-		s.opts.PlacePerTaskSec*float64(spec.Tasks)
+	plan.SelectOverheadSec = selectCostSec +
+		selectPerThreadSec*float64(len(cfg.Cores)) +
+		placePerTaskSec*float64(spec.Tasks)
 
 	// Primary core per active node: the lowest-numbered active core there.
 	s.useTopology(topo)
@@ -60,11 +60,11 @@ func (s *Scheduler) buildPlan(plan *taskrt.Plan, spec *taskrt.LoopSpec, topo *to
 			nodeStart := (nodeIdx*T + nNodes - 1) / nNodes
 			nodeEnd := ((nodeIdx+1)*T + nNodes - 1) / nNodes
 			span := nodeEnd - nodeStart
-			strictCount := int(math.Round(strictFraction * float64(span)))
+			strictCount := int(math.Round(s.opts.StrictFraction * float64(span)))
 			// A node must keep at least one strict task: truncation on a
 			// 1-task span would otherwise mark the node's only task
 			// stealable, inverting the "leading fraction strict" rule.
-			if strictCount < 1 && span > 0 && strictFraction > 0 {
+			if strictCount < 1 && span > 0 && s.opts.StrictFraction > 0 {
 				strictCount = 1
 			}
 			strict = (t - nodeStart) < strictCount

@@ -52,12 +52,14 @@ func TestBuildPlanDegenerateSizesStrictCounts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := MustNew(DefaultOptions())
+			opts := DefaultOptions()
+			opts.StrictFraction = tc.fraction
+			s := MustNew(opts)
 			ls := mkState(topo, 1, nil)
 			cfg := s.widen(ls, topo, 16, nil)
 			cfg.StealFull = true
 			spec := tinySpec(tc.tasks)
-			plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg, tc.fraction)
+			plan := s.buildPlan(&taskrt.Plan{}, spec, topo, cfg)
 			if err := plan.Validate(spec, topo.NumCores(), nil); err != nil {
 				t.Fatal(err)
 			}

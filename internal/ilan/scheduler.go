@@ -10,7 +10,8 @@ import (
 )
 
 // Options tunes the scheduler. The zero value is not valid; use
-// DefaultOptions.
+// DefaultOptions. Each field is set away from its default by a scheduler
+// kind, the oracle or an ablation (TestOptionsFieldsAreClassified).
 type Options struct {
 	// Granularity g is the thread-count step of the configuration search.
 	// 0 selects the NUMA-node size, the paper's default.
@@ -23,37 +24,13 @@ type Options struct {
 	// loop to all cores (the paper's Figure 4 ablation) while keeping
 	// hierarchical distribution and the steal-policy evaluation.
 	Moldability bool
-	// SelectCostSec is the base virtual-time price of one configuration
-	// selection (PTT lookup + bookkeeping), charged per loop submission.
-	SelectCostSec float64
-	// SelectPerThreadSec is the per-active-thread component of the
-	// selection cost (node-mask assembly, per-thread bookkeeping).
-	SelectPerThreadSec float64
-	// PlacePerTaskSec is the extra per-task cost of the hierarchical
-	// distribution (computing the node mapping and strictness), on top of
-	// the runtime's ordinary task-creation cost.
-	PlacePerTaskSec float64
-	// Objective selects the metric the PTT optimizes. The paper uses
-	// execution time and proposes energy efficiency as future work; both
-	// are implemented (plus energy-delay product).
-	Objective Objective
 	// CounterGuided enables the paper's second future-work idea: use the
 	// simulated performance counters to cut exploration short. After the
 	// first (full-width) execution, a loop whose measured memory intensity
-	// is below CounterIntensityCutoff cannot profit from moldability, so
+	// is below counterIntensityCutoff cannot profit from moldability, so
 	// the search settles at full width immediately, skipping the narrow
 	// probes that cost compute-bound loops like Matmul their slowdown.
 	CounterGuided bool
-	// CounterIntensityCutoff is the memory-intensity threshold below which
-	// counter-guided selection skips exploration (default 0.35).
-	CounterIntensityCutoff float64
-	// AdaptiveStrictFraction enables the online tuning of inter-node task
-	// migration levels the paper describes in §3.3: under the full steal
-	// policy, a loop whose green (stealable) tasks all migrate gets more
-	// of them next time (more balancing headroom), and a loop whose green
-	// tasks never migrate gets fewer (more locality). The fraction moves
-	// in steps of 0.1 within [0.25, 1.0].
-	AdaptiveStrictFraction bool
 	// FixedThreads, when positive, disables the search entirely and pins
 	// every taskloop to that width with FixedStealFull as the policy —
 	// the oracle-study configuration (what would ILAN achieve if it knew
@@ -62,59 +39,30 @@ type Options struct {
 	FixedStealFull bool
 }
 
-// Objective is the metric the configuration search minimizes.
-type Objective uint8
-
+// The virtual-time prices of ILAN's own work and the counter-guided
+// cutoff.
 const (
-	// ObjectiveTime minimizes taskloop execution time (the paper's setup).
-	ObjectiveTime Objective = iota
-	// ObjectiveEnergy minimizes energy per taskloop execution.
-	ObjectiveEnergy
-	// ObjectiveEDP minimizes the energy-delay product.
-	ObjectiveEDP
-	// numObjectives bounds Objective validation in New.
-	numObjectives
+	// selectCostSec is the base price of one configuration selection (PTT
+	// lookup + bookkeeping), charged per loop submission.
+	selectCostSec = 2e-6
+	// selectPerThreadSec is the per-active-thread component of the
+	// selection cost (node-mask assembly, per-thread bookkeeping).
+	selectPerThreadSec = 100e-9
+	// placePerTaskSec is the extra per-task cost of the hierarchical
+	// distribution (computing the node mapping and strictness), on top of
+	// the runtime's ordinary task-creation cost.
+	placePerTaskSec = 80e-9
+	// counterIntensityCutoff is the memory-intensity threshold below which
+	// counter-guided selection skips exploration.
+	counterIntensityCutoff = 0.35
 )
-
-// String names the objective.
-func (o Objective) String() string {
-	switch o {
-	case ObjectiveTime:
-		return "time"
-	case ObjectiveEnergy:
-		return "energy"
-	case ObjectiveEDP:
-		return "edp"
-	default:
-		return fmt.Sprintf("objective(%d)", uint8(o))
-	}
-}
-
-// score extracts the objective value from a loop measurement. Units:
-// seconds (time), joules (energy), joule-seconds (EDP) — the EDP and time
-// cases go through Elapsed.Seconds() so the seconds contract is explicit
-// rather than an implicit property of the sim.Time representation.
-func (o Objective) score(st *taskrt.LoopStats) float64 {
-	switch o {
-	case ObjectiveEnergy:
-		return st.EnergyJoules
-	case ObjectiveEDP:
-		return st.EnergyJoules * st.Elapsed.Seconds()
-	default:
-		return st.Elapsed.Seconds()
-	}
-}
 
 // DefaultOptions returns the configuration used in the paper's evaluation.
 func DefaultOptions() Options {
 	return Options{
-		Granularity:            0, // NUMA-node size
-		StrictFraction:         0.75,
-		Moldability:            true,
-		SelectCostSec:          2e-6,
-		SelectPerThreadSec:     100e-9,
-		PlacePerTaskSec:        80e-9,
-		CounterIntensityCutoff: 0.35,
+		Granularity:    0, // NUMA-node size
+		StrictFraction: 0.75,
+		Moldability:    true,
 	}
 }
 
@@ -140,15 +88,10 @@ type Scheduler struct {
 var _ taskrt.Scheduler = (*Scheduler)(nil)
 
 // New creates an ILAN scheduler, validating the options: StrictFraction
-// must lie in [0, 1] and Objective must be one of the defined objectives.
-// Previously an out-of-range Objective was silently treated as
-// ObjectiveTime; construction now fails loudly instead.
+// must lie in [0, 1].
 func New(opts Options) (*Scheduler, error) {
 	if opts.StrictFraction < 0 || opts.StrictFraction > 1 {
 		return nil, fmt.Errorf("ilan: StrictFraction %g out of [0,1]", opts.StrictFraction)
-	}
-	if opts.Objective >= numObjectives {
-		return nil, fmt.Errorf("ilan: unknown objective %d (valid: time, energy, edp)", opts.Objective)
 	}
 	return &Scheduler{opts: opts, loops: make(map[int]*loopState)}, nil
 }
@@ -228,30 +171,7 @@ func (s *Scheduler) Plan(rt *taskrt.Runtime, spec *taskrt.LoopSpec, occ *taskrt.
 		cfg = s.selectFixed(ls, topo, occ)
 	}
 	ls.pending = cfg
-	plan := s.buildPlan(rt.NewPlan(), spec, topo, cfg, s.strictFraction(ls))
-	if cfg.StealFull {
-		greens := 0
-		for _, tp := range plan.Place {
-			if !tp.Strict {
-				greens++
-			}
-		}
-		ls.lastGreens = greens
-	} else {
-		ls.lastGreens = 0
-	}
-	return plan
-}
-
-// strictFraction resolves the strict/stealable split for a loop: the
-// adapted per-loop value when migration tuning is on, the global option
-// otherwise. Adapted values come off the integer-percent grid, so equal
-// tuning states always yield bit-equal fractions.
-func (s *Scheduler) strictFraction(ls *loopState) float64 {
-	if s.opts.AdaptiveStrictFraction && ls.strictFracPct > 0 {
-		return float64(ls.strictFracPct) / 100
-	}
-	return s.opts.StrictFraction
+	return s.buildPlan(rt.NewPlan(), spec, topo, cfg)
 }
 
 // selectFixed is the no-moldability path: always all cores; the steal
@@ -491,11 +411,10 @@ func (s *Scheduler) Observe(rt *taskrt.Runtime, spec *taskrt.LoopSpec, st *taskr
 		ls.nodeSec[n] += st.NodeTaskSeconds[n]
 		ls.nodeTasks[n] += st.NodeTasks[n]
 	}
-	score := s.opts.Objective.score(st)
+	sec := st.Elapsed.Seconds()
 	plannedPhase := ls.phase
 	ls.history = append(ls.history, ExecRecord{
-		K: ls.k, Cfg: ls.pending, Phase: plannedPhase, ElapsedSec: float64(st.Elapsed),
-		Score: score,
+		K: ls.k, Cfg: ls.pending, Phase: plannedPhase, ElapsedSec: sec,
 	})
 
 	switch ls.phase {
@@ -505,53 +424,23 @@ func (s *Scheduler) Observe(rt *taskrt.Runtime, spec *taskrt.LoopSpec, st *taskr
 			c = &cfgStats{threads: ls.pending.Threads}
 			ls.tried[ls.pending.Threads] = c
 		}
-		c.totalSec += score
+		c.totalSec += sec
 		c.count++
 		if s.opts.CounterGuided && ls.k == 1 &&
-			st.MemoryIntensity() < s.opts.CounterIntensityCutoff {
+			st.MemoryIntensity() < counterIntensityCutoff {
 			ls.skipExplore = true
 		}
 	case PhaseEvalSteal:
-		ls.fullSec = score
-		ls.chosen.StealFull = ls.fullSec < ls.bestStrictSec
+		ls.chosen.StealFull = sec < ls.bestStrictSec
 		ls.phase = PhaseSettled
-	case PhaseSettled:
-		// Keep refining node history (already accumulated above) and,
-		// when enabled, tune the migration level from the observed
-		// remote-steal pressure.
-		if s.opts.AdaptiveStrictFraction && ls.pending.StealFull {
-			// The ±0.1 steps run on an integer-percent grid: float
-			// arithmetic (0.75 -> 0.8500000000000001 -> ...) would drift
-			// off the documented 0.1 grid within [0.25, 1.0].
-			pct := ls.strictFracPct
-			if pct == 0 {
-				pct = int(math.Round(100 * s.opts.StrictFraction))
-			}
-			switch {
-			case ls.lastGreens > 0 && st.StealsRemote >= ls.lastGreens:
-				// Every green task migrated: the load balancer is
-				// starved; release more tasks.
-				pct -= 10
-			case st.StealsRemote == 0:
-				// No migration happened: reclaim locality.
-				pct += 10
-			}
-			if pct < 25 {
-				pct = 25
-			}
-			if pct > 100 {
-				pct = 100
-			}
-			ls.strictFracPct = pct
-		}
 	}
 
-	// The fixed path's strict reference score is its k=1 execution.
+	// The fixed path's strict reference time is its k=1 execution.
 	if !s.opts.Moldability && ls.k == 1 {
-		ls.bestStrictSec = score
+		ls.bestStrictSec = sec
 	}
 
-	s.obsObserve(rt, spec, ls, plannedPhase, score)
+	s.obsObserve(rt, spec, ls, plannedPhase, sec)
 }
 
 // obsObserve records the completed execution into the attached
@@ -597,12 +486,9 @@ func (s *Scheduler) ChosenConfig(loopID int) (cfg Config, phase Phase, ok bool) 
 }
 
 // Regret quantifies what a loop's exploration cost: the summed extra
-// objective value of its pre-settlement executions relative to the mean
-// settled execution. Both return values are in the unit of the active
-// Objective — seconds under ObjectiveTime, joules under ObjectiveEnergy,
-// joule-seconds under ObjectiveEDP — so the regret is always measured in
-// the quantity the search actually optimized. ok is false when the loop
-// has no settled executions to compare against.
+// seconds of its pre-settlement executions relative to the mean settled
+// execution time, which is the second return value. ok is false when the
+// loop has no settled executions to compare against.
 func (s *Scheduler) Regret(loopID int) (exploration, settledMean float64, ok bool) {
 	ls, found := s.loops[loopID]
 	if !found {
@@ -612,7 +498,7 @@ func (s *Scheduler) Regret(loopID int) (exploration, settledMean float64, ok boo
 	var settledN int
 	for _, rec := range ls.history {
 		if rec.Phase == PhaseSettled {
-			settledSum += rec.Score
+			settledSum += rec.ElapsedSec
 			settledN++
 		}
 	}
@@ -623,7 +509,7 @@ func (s *Scheduler) Regret(loopID int) (exploration, settledMean float64, ok boo
 	var extra float64
 	for _, rec := range ls.history {
 		if rec.Phase != PhaseSettled {
-			extra += rec.Score - mean
+			extra += rec.ElapsedSec - mean
 		}
 	}
 	return extra, mean, true

@@ -11,8 +11,8 @@ import (
 // facility: per-resource traffic, compute/memory time split, and cache
 // statistics, sampled for the whole run. The paper leaves feeding these
 // into the scheduler's configuration selection as future work; here they
-// are available both for inspection and for the energy-aware selection
-// extension (see internal/ilan's Objective).
+// are available both for inspection and for counter-guided selection
+// (internal/ilan's Options.CounterGuided).
 type Counters struct {
 	// ResourceBytes[r] is the service demand issued to resource r in
 	// bytes (distance- and pattern-inflated, as the controller sees it),

@@ -132,7 +132,6 @@ type Machine struct {
 	dirtyHead *fluidTask
 	dirtyTail *fluidTask
 
-	busySeconds  []float64 // per-core task execution time
 	tasksStarted uint64
 	rateEvals    uint64        // remainingTime evaluations (RateEvaluations)
 	demand       memsys.Demand // scratch buffer
@@ -276,7 +275,6 @@ func New(cfg Config) *Machine {
 
 	nc := cfg.Topo.NumCores()
 	m.running = make([]*fluidTask, nc)
-	m.busySeconds = make([]float64, nc)
 	m.byResource = make([][]*fluidTask, m.res.Count())
 	m.ls = make([]loadSvc, m.res.Count())
 	m.externalLoad = make([]float64, m.res.Count())
@@ -340,9 +338,6 @@ func (m *Machine) RNG() *sim.RNG { return m.rng }
 
 // CoreSpeed returns the per-run speed factor of a core.
 func (m *Machine) CoreSpeed(core int) float64 { return m.coreSpeed[core] }
-
-// BusySeconds returns total task-execution seconds charged to a core.
-func (m *Machine) BusySeconds(core int) float64 { return m.busySeconds[core] }
 
 // TasksStarted returns the number of Exec calls.
 func (m *Machine) TasksStarted() uint64 { return m.tasksStarted }
@@ -703,7 +698,6 @@ func (m *Machine) FlushRefresh() {
 
 func (m *Machine) complete(ft *fluidTask) {
 	now := m.eng.Now()
-	m.busySeconds[ft.core] += float64(now - ft.started)
 	if memSec := float64(now-ft.started) - ft.compute0/m.coreSpeed[ft.core]; memSec > 0 {
 		m.counters.MemorySeconds += memSec
 	}

@@ -233,6 +233,9 @@ func Read(r io.Reader) (*File, error) {
 			return nil, fmt.Errorf("results: cell %s has %d times but %d overheads and %d weightedThreads",
 				key, n, len(c.Overheads), len(c.WeightedThreads))
 		}
+		if err := checkTrace(c.Trace); err != nil {
+			return nil, fmt.Errorf("results: cell %s: %w", key, err)
+		}
 	}
 	if len(f.MultiCells) > 0 && f.CoRun == nil {
 		return nil, fmt.Errorf("results: multi cells without a co-run descriptor")
@@ -252,8 +255,39 @@ func Read(r io.Reader) (*File, error) {
 					c.Kind, p.Program, len(p.ArrivalSec), len(p.StartSec), len(p.MakespanSec), n)
 			}
 		}
+		if err := checkTrace(c.Trace); err != nil {
+			return nil, fmt.Errorf("results: multi cell %s: %w", c.Kind, err)
+		}
 	}
 	return &f, nil
+}
+
+// checkTrace returns the error for a task trace that a view would index
+// out of range or draw from nowhere: a task on a negative node or core, a
+// steal from a core below -1 (none), a task ending before it starts, a
+// resource sample on a negative node, or, when the trace has resource
+// samples, a task on a node they do not cover (the timeline sizes its node
+// rows from them). It reads every event once and allocates nothing unless
+// it fails.
+func checkTrace(tr *taskrt.Trace) error {
+	if tr == nil {
+		return nil
+	}
+	nodes := 0
+	for i, r := range tr.Resources {
+		if r.Node < 0 {
+			return fmt.Errorf("trace resource sample %d is on node %d", i, r.Node)
+		}
+		nodes = max(nodes, r.Node+1)
+	}
+	for i := range tr.Tasks {
+		ev := &tr.Tasks[i]
+		if ev.Node < 0 || ev.Core < 0 || ev.FromCore < -1 || ev.StartSec > ev.EndSec || nodes > 0 && ev.Node >= nodes {
+			return fmt.Errorf("trace task %d (node %d, core %d, from core %d, %g-%g s) is out of range for %d sampled nodes",
+				i, ev.Node, ev.Core, ev.FromCore, ev.StartSec, ev.EndSec, nodes)
+		}
+	}
+	return nil
 }
 
 // ToMatrix reconstructs a harness matrix from a persisted campaign so that

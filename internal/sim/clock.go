@@ -21,11 +21,10 @@ type Duration = Time
 const Infinity Time = 1e300
 
 // Seconds returns the time as a plain float64 second count. It is the
-// unit-conversion point for code that multiplies virtual time into other
-// physical quantities (e.g. the energy-delay product, joules x seconds):
-// going through Seconds() makes the seconds contract explicit at the use
-// site instead of relying on a bare float64 conversion that would silently
-// change meaning if the tick unit ever did.
+// unit-conversion point for code that reads virtual time as seconds (e.g.
+// ILAN's PTT scores): going through Seconds() makes the seconds contract
+// explicit at the use site instead of relying on a bare float64 conversion
+// that would silently change meaning if the tick unit ever did.
 func (t Time) Seconds() float64 { return float64(t) }
 
 // String renders a Time with microsecond precision, which is the natural

@@ -208,8 +208,6 @@ func genILANOpts(src Source, spec topology.Spec) ilan.Options {
 	opts.StrictFraction = src.Float64()
 	opts.Moldability = src.Intn(2) == 0
 	opts.CounterGuided = src.Intn(3) == 0
-	opts.AdaptiveStrictFraction = src.Intn(3) == 0
-	opts.Objective = ilan.Objective(src.Intn(3))
 	if src.Intn(4) == 0 {
 		opts.FixedThreads = 1 + src.Intn(cores)
 		opts.FixedStealFull = src.Intn(2) == 0

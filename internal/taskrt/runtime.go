@@ -68,9 +68,8 @@ type Runtime struct {
 	// scan finishes before the next one starts, so one serves every thread.
 	victimScratch []int32
 	// occ is the reusable occupancy view assembled for each Plan call.
-	occ    Occupancy
-	energy machine.EnergyModel
-	trace  *Trace
+	occ   Occupancy
+	trace *Trace
 
 	// probe is the attached lifecycle observer (nil = off, the default).
 	// Every use is nil-guarded; see probe.go for the overhead contract.
@@ -155,7 +154,6 @@ type loopExec struct {
 	plan         *Plan
 	remaining    int
 	start        sim.Time
-	startJoules  float64
 	exec         int // per-loop execution ordinal for tracing
 	startCompute float64
 	startMemory  float64
@@ -192,13 +190,12 @@ func New(mach *machine.Machine, sched Scheduler, costs Costs) *Runtime {
 		panic("taskrt: nil scheduler")
 	}
 	rt := &Runtime{
-		mach:   mach,
-		topo:   mach.Topology(),
-		eng:    mach.Engine(),
-		costs:  costs,
-		sched:  sched,
-		rng:    mach.RNG().Split(0x7a5b),
-		energy: machine.DefaultEnergy(),
+		mach:  mach,
+		topo:  mach.Topology(),
+		eng:   mach.Engine(),
+		costs: costs,
+		sched: sched,
+		rng:   mach.RNG().Split(0x7a5b),
 	}
 	nCores := rt.topo.NumCores()
 	// Capacities are fixed up front so the steal path never grows them
@@ -230,13 +227,6 @@ func (rt *Runtime) Topology() *topology.Machine { return rt.topo }
 
 // Scheduler returns the active scheduler.
 func (rt *Runtime) Scheduler() Scheduler { return rt.sched }
-
-// SetEnergyModel replaces the energy model used to attribute per-loop
-// energy in LoopStats (default: machine.DefaultEnergy).
-func (rt *Runtime) SetEnergyModel(em machine.EnergyModel) { rt.energy = em }
-
-// EnergyModel returns the runtime's energy model.
-func (rt *Runtime) EnergyModel() machine.EnergyModel { return rt.energy }
 
 // NewPlan returns an empty plan for a Scheduler's Plan method to fill.
 // Its Active and Place slices are empty but keep the capacity of the
@@ -286,7 +276,6 @@ func (rt *Runtime) SubmitLoop(spec *LoopSpec, done func(*LoopStats)) {
 	le.plan = plan
 	le.remaining = len(plan.Place)
 	le.start = rt.eng.Now()
-	le.startJoules = rt.mach.EnergyJoules(rt.energy)
 	le.done = done
 	rt.nextExecID++
 	le.st.ActiveThreads = len(plan.Active)
@@ -346,13 +335,9 @@ func (rt *Runtime) occupancy() *Occupancy {
 	for i := range o.held {
 		o.held[i] = false
 	}
-	o.count = 0
 	for _, le := range rt.execs {
 		for _, c := range le.plan.Active {
-			if !o.held[c] {
-				o.held[c] = true
-				o.count++
-			}
+			o.held[c] = true
 		}
 	}
 	return o
@@ -634,7 +619,6 @@ func (rt *Runtime) finishLoop(le *loopExec) {
 // in-flight table, releasing its cores for waiting submissions.
 func (rt *Runtime) completeLoop(le *loopExec) {
 	le.st.Elapsed = rt.eng.Now() - le.start
-	le.st.EnergyJoules = rt.mach.EnergyJoules(rt.energy) - le.startJoules
 	compute, memory := rt.mach.TimeSplit()
 	le.st.ComputeSeconds = compute - le.startCompute
 	le.st.MemorySeconds = memory - le.startMemory

@@ -231,10 +231,6 @@ type LoopStats struct {
 	StealAttempts   int
 	OverheadSec     float64 // scheduling overhead charged during this loop
 	ActiveThreads   int
-	// EnergyJoules is the machine energy consumed during the loop under
-	// the runtime's energy model — the measurement an energy-efficiency
-	// PTT objective selects on (the paper's future-work extension).
-	EnergyJoules float64
 	// ComputeSeconds / MemorySeconds are the loop's simulated
 	// performance-counter deltas (the PERF_COUNTERS facility): total
 	// compute-component and memory-component time of the loop's tasks.
@@ -295,8 +291,7 @@ const inf = 1e300
 // means an empty machine (every core free), which is what solo programs
 // and scheduler unit tests see.
 type Occupancy struct {
-	held  []bool
-	count int
+	held []bool
 }
 
 // NewOccupancy builds an occupancy view over numCores cores with the given
@@ -304,9 +299,8 @@ type Occupancy struct {
 func NewOccupancy(numCores int, held ...int) *Occupancy {
 	o := &Occupancy{held: make([]bool, numCores)}
 	for _, c := range held {
-		if c >= 0 && c < numCores && !o.held[c] {
+		if c >= 0 && c < numCores {
 			o.held[c] = true
-			o.count++
 		}
 	}
 	return o
@@ -316,11 +310,10 @@ func NewOccupancy(numCores int, held ...int) *Occupancy {
 // independent verifiers (e.g. simcheck) that rebuild the occupancy from
 // their own books; the runtime assembles its view internally.
 func (o *Occupancy) Hold(core int) {
-	if o == nil || core < 0 || core >= len(o.held) || o.held[core] {
+	if o == nil || core < 0 || core >= len(o.held) {
 		return
 	}
 	o.held[core] = true
-	o.count++
 }
 
 // Held reports whether a concurrently live loop execution holds the core.
@@ -328,18 +321,6 @@ func (o *Occupancy) Hold(core int) {
 func (o *Occupancy) Held(core int) bool {
 	return o != nil && core >= 0 && core < len(o.held) && o.held[core]
 }
-
-// HeldCount returns the number of held cores.
-func (o *Occupancy) HeldCount() int {
-	if o == nil {
-		return 0
-	}
-	return o.count
-}
-
-// Any reports whether any core is held — false on an empty machine, where
-// occupancy-aware schedulers must reduce to their solo behaviour exactly.
-func (o *Occupancy) Any() bool { return o.HeldCount() > 0 }
 
 // NumCores returns the size of the view (0 for the nil view, which is
 // unbounded: every core free).

@@ -256,9 +256,6 @@ func (m *Machine) CCDOfCore(c int) int { return m.ccdOfCore[c] }
 // SocketOfNode returns the socket that owns NUMA node n.
 func (m *Machine) SocketOfNode(n int) int { return m.socketOfNode[n] }
 
-// SocketOfCore returns the socket that owns core c.
-func (m *Machine) SocketOfCore(c int) int { return m.socketOfNode[m.nodeOfCore[c]] }
-
 // CoresOfNode returns the cores of NUMA node n in ascending order.
 // The returned slice must not be modified.
 func (m *Machine) CoresOfNode(n int) []int { return m.coresOfNode[n] }

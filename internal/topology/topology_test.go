@@ -95,8 +95,8 @@ func TestSocketMapping(t *testing.T) {
 			t.Errorf("SocketOfNode(%d) = %d, want 1", n, m.SocketOfNode(n))
 		}
 	}
-	if m.SocketOfCore(0) != 0 || m.SocketOfCore(63) != 1 {
-		t.Error("SocketOfCore endpoints wrong")
+	if m.SocketOfNode(m.NodeOfCore(0)) != 0 || m.SocketOfNode(m.NodeOfCore(63)) != 1 {
+		t.Error("socket of the first or last core wrong")
 	}
 }
 

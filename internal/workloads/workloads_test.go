@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -233,4 +234,19 @@ func TestHintsAreValidNodes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ExampleAll lists the paper's benchmark models in reporting order.
+func ExampleAll() {
+	for _, b := range All() {
+		fmt.Println(b.Name)
+	}
+	// Output:
+	// FT
+	// BT
+	// CG
+	// LU
+	// SP
+	// Matmul
+	// LULESH
 }
