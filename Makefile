@@ -20,10 +20,11 @@ test:
 	$(GO) test ./...
 
 # Hot-path benchmarks (event engine, dispatch/steal loop, full campaign,
-# fluid refresh, task execution, access resolution) with allocation stats; each run appends a commit-stamped entry to the
-# BENCH_hotpath.json trajectory.
+# fluid refresh, task execution, access resolution, and the export codec's
+# results Write and Read and Perfetto export) with allocation stats; each
+# run appends a commit-stamped entry to the BENCH_hotpath.json trajectory.
 bench:
-	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm|BenchmarkMachineExec|BenchmarkResolver' \
+	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm|BenchmarkMachineExec|BenchmarkResolver|BenchmarkExport' \
 		-benchmem -run=NONE . | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson -commit $$(git rev-parse --short HEAD) -file BENCH_hotpath.json
 
@@ -42,8 +43,9 @@ cover:
 
 # Coverage-guided fuzzing of the simulator under the invariant checker
 # and metamorphic oracles (DESIGN.md §11), of the fluid solver, event
-# engine and L3 model against their references, and of the looplang
-# document decoder, then a randomized soak run.
+# engine and L3 model against their references, of the looplang document,
+# results file, cache envelope, cache index and cached unit decoders, and
+# of the export codec against encoding/json, then a randomized soak run.
 # FUZZTIME bounds each native target; corpora seed from testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
@@ -55,6 +57,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzCacheOrder -fuzztime=$(FUZZTIME) ./internal/memsys
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/looplang
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/results
+	$(GO) test -fuzz=FuzzEncode -fuzztime=$(FUZZTIME) ./internal/results
+	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/results
+	$(GO) test -fuzz=FuzzWrite -fuzztime=$(FUZZTIME) ./internal/chrometrace
+	$(GO) test -fuzz=FuzzWriter -fuzztime=$(FUZZTIME) ./internal/jsonio
+	$(GO) test -fuzz=FuzzGet -fuzztime=$(FUZZTIME) ./internal/cellcache
+	$(GO) test -fuzz=FuzzLoadIndex -fuzztime=$(FUZZTIME) ./internal/cellcache
+	$(GO) test -fuzz=FuzzMemoPayload -fuzztime=$(FUZZTIME) ./internal/harness
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
 # Reproduce every figure and table at paper scale. `-exp all -reps 30

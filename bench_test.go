@@ -11,16 +11,19 @@
 package ilan_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"testing"
 
+	"github.com/ilan-sched/ilan/internal/chrometrace"
 	"github.com/ilan-sched/ilan/internal/harness"
 	ilansched "github.com/ilan-sched/ilan/internal/ilan"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/memsys"
 	"github.com/ilan-sched/ilan/internal/obsserve"
+	"github.com/ilan-sched/ilan/internal/results"
 	"github.com/ilan-sched/ilan/internal/sched"
 	"github.com/ilan-sched/ilan/internal/sim"
 	"github.com/ilan-sched/ilan/internal/stats"
@@ -494,6 +497,71 @@ func BenchmarkFullCampaignCG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runBench(b, w, newILAN, uint64(i))
 	}
+}
+
+// BenchmarkExport measures the export codec on a traced test-class
+// campaign (CG and FT under the baseline and ILAN, 2 reps, with metrics,
+// decision and task traces): Write encodes the results file, Read decodes
+// it, and Perfetto writes each cell's Chrome trace. The file is built once
+// outside the timed loops; MB/s is the results file's (or traces') size.
+func BenchmarkExport(b *testing.B) {
+	cfg := harness.DefaultConfig()
+	cfg.Class, cfg.Reps, cfg.Seed = workloads.ClassTest, 2, 2025
+	cfg.Metrics, cfg.TraceDecisions, cfg.TraceTasks = true, true, true
+	var benches []workloads.Benchmark
+	for _, name := range []string{"CG", "FT"} {
+		w, _ := workloads.ByName(name)
+		benches = append(benches, w)
+	}
+	mx, err := harness.Run(benches, []harness.Kind{harness.KindBaseline, harness.KindILAN}, cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	file := results.FromMatrix(mx, cfg, "bench")
+	var encoded bytes.Buffer
+	if err := file.Write(&encoded); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Write", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(encoded.Len()))
+		for i := 0; i < b.N; i++ {
+			if err := file.Write(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Read", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(encoded.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := results.Read(bytes.NewReader(encoded.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Perfetto", func(b *testing.B) {
+		b.ReportAllocs()
+		var size int64
+		for i := 0; i < b.N; i++ {
+			var n countingWriter
+			mx.EachCell(func(c *harness.Cell) {
+				if err := chrometrace.Write(&n, c.TaskTrace(), c.Samples[0].Obs.Decisions, chrometrace.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			})
+			size = int64(n)
+		}
+		b.SetBytes(size)
+	})
+}
+
+// countingWriter discards what it is given and counts the bytes.
+type countingWriter int64
+
+func (n *countingWriter) Write(p []byte) (int, error) {
+	*n += countingWriter(len(p))
+	return len(p), nil
 }
 
 // perLoopAllocs measures the per-loop allocation count of a warmed

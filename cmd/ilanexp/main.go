@@ -79,7 +79,7 @@ func main() {
 	corun := flag.String("corun", "CG,FT", "comma-separated benchmarks to co-run as one workload (-exp multi)")
 	spread := flag.Float64("spread", 0, "spread co-run program arrivals over this many seconds (-exp multi)")
 	param := flag.String("param", "beta", "machine-model parameter to vary (-exp sweep): alpha|beta|controllerbw|corebw|linkbw")
-	valuesArg := flag.String("values", "0,0.0003,0.001,0.003", "comma-separated parameter values (-exp sweep)")
+	valuesArg := flag.String("values", "", "comma-separated parameter values (-exp sweep; required unless -param beta, whose default is "+betaGrid+")")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memprofile := flag.String("memprofile", "", "write a heap-allocation profile to this file at exit")
 	cacheOn := flag.Bool("cache", false, "memoize per-unit results in a content-addressed on-disk cache (see -cache-dir)")
@@ -166,7 +166,16 @@ func main() {
 		if req.Param, err = harness.ParseSweepParam(*param); err != nil {
 			usage("%v", err)
 		}
-		for _, s := range splitList(*valuesArg) {
+		values := *valuesArg
+		if values == "" {
+			// Only β has a default grid: it starts at 0, which no
+			// bandwidth may be, and its values mean nothing for α.
+			if req.Param != harness.SweepBeta {
+				usage("-exp sweep -param %s needs -values", *param)
+			}
+			values = betaGrid
+		}
+		for _, s := range splitList(values) {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
 				usage("bad -values entry %q: %v", s, err)
@@ -285,6 +294,9 @@ func main() {
 	}
 	outputFiles{out: *out, perfetto: *perfetto, attr: *attrOut, label: *label, quiet: *quiet}.write(o, *cfg)
 }
+
+// betaGrid is -exp sweep's default -values for -param beta.
+const betaGrid = "0,0.0003,0.001,0.003"
 
 // optionalFlags maps each flag an experiment may not take to the row
 // capability that accepts it.

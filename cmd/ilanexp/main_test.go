@@ -168,6 +168,10 @@ func TestFlagValues(t *testing.T) {
 		{append(sweep, "linkbw", "-values", "NaN"), false},
 		{append(sweep, "beta", "-values", "0,0"), false},
 		{append(sweep, "controllerbw", "-values", "2e10,4e10,2e10"), false},
+		{append(sweep, "alpha"), false},
+		{append(sweep, "controllerbw"), false},
+		{append(sweep, "corebw"), false},
+		{append(sweep, "linkbw"), false},
 		{append(fig2, "99"), false},
 		{append(fig2, "4", "-topo", "smalltest"), false},
 		{append(fig2, "-5"), false},
@@ -178,6 +182,7 @@ func TestFlagValues(t *testing.T) {
 		{append(multi, "-corun", ""), false},
 
 		{append(sweep, "beta", "-values", "0,0.003"), true},
+		{append(sweep, "beta"), true},
 		{append(sweep, "alpha", "-values", "0"), true},
 		{append(sweep, "linkbw", "-values", "5e9,5e10"), true},
 		{append(fig2, "3", "-topo", "smalltest"), true},

@@ -14,8 +14,14 @@
 //	obsdump -in results.json -cell CG/ilan perfetto > cg.trace.json
 //	obsdump -in results.json -cell CG/ilan timeline    # per-node occupancy
 //	obsdump -in results.json -cell CG/ilan trace > cg.jsonl
+//	obsdump -in multi.json -cell CG+FT/ilan perfetto # a co-run cell
 //	obsdump -in attr.json attr                         # attribution tables
 //	obsdump -in attr.json -cell CG/ilan attr           # one cell, with loops
+//
+// A co-run file (ilanexp -exp multi) lists its solo reference cells and
+// then one cell per scheduler kind of the co-run, named by the co-run's
+// benchmarks joined by "+" and the kind, e.g. CG+FT/ilan; every format but
+// attr renders either.
 //
 // The decisions format ends with the PTT's view of every loop in
 // repetition 0: the configuration it ran last, the mean score of each
@@ -40,6 +46,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -107,15 +114,8 @@ func main() {
 		listCells(file)
 		return
 	}
-	var target *results.Cell
-	for i := range file.Cells {
-		c := &file.Cells[i]
-		if c.Bench+"/"+c.Kind == *cell {
-			target = c
-			break
-		}
-	}
-	if target == nil {
+	target, ok := findView(file, *cell)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "obsdump: no cell %q in %s (try obsdump -in %s to list)\n", *cell, *in, *in)
 		os.Exit(1)
 	}
@@ -127,7 +127,7 @@ func main() {
 		}
 		switch *format {
 		case "perfetto":
-			err = writePerfetto(target)
+			err = writePerfetto(os.Stdout, target)
 		case "timeline":
 			err = writeTimeline(target.Trace)
 		default:
@@ -163,31 +163,62 @@ func main() {
 	}
 }
 
+// view is one cell's snapshot and rep-0 task trace under the name the
+// -cell flag selects it by: bench/kind for a solo cell, and for a co-run
+// cell its benchmarks joined by "+" and then the kind (CG+FT/ilan). A
+// co-run file's solo cells are its built-in benchmarks, whose names hold
+// no "+", so the two kinds of name never meet.
+type view struct {
+	Name  string
+	Obs   *obs.Snapshot
+	Trace *taskrt.Trace
+}
+
+// views lists the solo cells, then the co-run cells.
+func views(file *results.File) []view {
+	var vs []view
+	for _, c := range file.Cells {
+		vs = append(vs, view{c.Bench + "/" + c.Kind, c.Obs, c.Trace})
+	}
+	for _, c := range file.MultiCells {
+		vs = append(vs, view{file.CoRun.Scenario() + "/" + c.Kind, c.Obs, c.Trace})
+	}
+	return vs
+}
+
+// findView returns the view named name.
+func findView(file *results.File, name string) (view, bool) {
+	for _, v := range views(file) {
+		if v.Name == name {
+			return v, true
+		}
+	}
+	return view{}, false
+}
+
 // writePerfetto converts the cell's rep-0 task trace (plus its rep-0
-// decisions, when recorded) to Chrome trace-event JSON on stdout.
-func writePerfetto(c *results.Cell) error {
+// decisions, when recorded) to Chrome trace-event JSON.
+func writePerfetto(w io.Writer, v view) error {
 	var decisions []obs.Decision
-	if c.Obs != nil {
-		for _, d := range c.Obs.Decisions {
+	if v.Obs != nil {
+		for _, d := range v.Obs.Decisions {
 			if d.Rep == 0 {
 				decisions = append(decisions, d)
 			}
 		}
 	}
-	return chrometrace.Write(os.Stdout, c.Trace, decisions, chrometrace.Options{})
+	return chrometrace.Write(w, v.Trace, decisions, chrometrace.Options{})
 }
 
 func listCells(file *results.File) {
 	fmt.Printf("%-24s %6s %10s %10s %10s\n", "cell", "runs", "counters", "gauges", "decisions")
-	for i := range file.Cells {
-		c := &file.Cells[i]
-		name := c.Bench + "/" + c.Kind
-		if c.Obs == nil {
-			fmt.Printf("%-24s %s\n", name, "(no observability data)")
+	for _, v := range views(file) {
+		if v.Obs == nil {
+			fmt.Printf("%-24s %s\n", v.Name, "(no observability data)")
 			continue
 		}
-		fmt.Printf("%-24s %6d %10d %10d %10d\n", name,
-			c.Obs.Runs, len(c.Obs.Counters), len(c.Obs.Gauges), c.Obs.DecisionsTotal)
+		fmt.Printf("%-24s %6d %10d %10d %10d\n", v.Name,
+			v.Obs.Runs, len(v.Obs.Counters), len(v.Obs.Gauges), v.Obs.DecisionsTotal)
 	}
 }
 

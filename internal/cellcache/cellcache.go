@@ -28,6 +28,7 @@ package cellcache
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -303,6 +304,12 @@ func (c *Cache) loadIndex() bool {
 	for k, e := range f.Entries {
 		if !validKey(k) {
 			continue
+		}
+		// A negative size, or a total past int64, would leave the cache
+		// holding more than its cap while its count reads below it:
+		// rebuild from the objects instead.
+		if e.Size < 0 || c.size > math.MaxInt64-e.Size {
+			return false
 		}
 		c.index[k] = e
 		c.size += e.Size

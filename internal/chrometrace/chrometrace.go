@@ -23,10 +23,10 @@
 package chrometrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"github.com/ilan-sched/ilan/internal/jsonio"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 )
@@ -44,28 +44,6 @@ type Options struct {
 	Process string
 }
 
-// event is one trace-event JSON object. Fields are emitted in the fixed
-// order below; absent optional fields are dropped via omitempty.
-type event struct {
-	Name  string         `json:"name"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	ID    int            `json:"id,omitempty"`
-	BP    string         `json:"bp,omitempty"`
-	S     string         `json:"s,omitempty"`
-	Cname string         `json:"cname,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type doc struct {
-	DisplayTimeUnit string  `json:"displayTimeUnit"`
-	TraceEvents     []event `json:"traceEvents"`
-}
-
 const (
 	pid = 1
 	// usec converts virtual seconds to trace-event microseconds.
@@ -76,9 +54,64 @@ const (
 	cnameStealable = "good"
 )
 
-// Write emits the trace as Chrome trace-event JSON. decisions may be nil
-// (no scheduler instant events); the trace must be non-nil.
-func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options) error {
+// event is one trace-event object's fixed members, written in this order
+// with zero-valued optional members (dur, cat, id, bp, s, cname) left out.
+// Its args, when it has any, follow as an object with sorted keys.
+type event struct {
+	name, ph string
+	ts, dur  float64
+	pid, tid int
+	cat      string
+	id       int
+	bp, s    string
+	cname    string
+}
+
+// begin writes e's fixed members and leaves the object open for its args.
+func begin(w *jsonio.Writer, e event) {
+	w.Begin('{')
+	w.Key("name").String(e.name)
+	w.Key("ph").String(e.ph)
+	w.Key("ts").Float(e.ts)
+	if e.dur != 0 {
+		w.Key("dur").Float(e.dur)
+	}
+	w.Key("pid").Int(e.pid)
+	w.Key("tid").Int(e.tid)
+	if e.cat != "" {
+		w.Key("cat").String(e.cat)
+	}
+	if e.id != 0 {
+		w.Key("id").Int(e.id)
+	}
+	for _, m := range [...]struct{ key, v string }{{"bp", e.bp}, {"s", e.s}, {"cname", e.cname}} {
+		if m.v != "" {
+			w.Key(m.key).String(m.v)
+		}
+	}
+}
+
+// metadata writes an "M" event whose one arg is a name or a sort index.
+func metadata(w *jsonio.Writer, name string, p, tid int, arg string, v any) {
+	begin(w, event{name: name, ph: "M", pid: p, tid: tid})
+	w.Key("args").Begin('{')
+	w.Key(arg)
+	switch v := v.(type) {
+	case string:
+		w.String(v)
+	case int:
+		w.Int(v)
+	}
+	w.End('}')
+	w.End('}')
+}
+
+// Write emits the trace as Chrome trace-event JSON: the bytes
+// encoding/json writes for the same events, each event's args in sorted
+// key order (reference_test.go holds that reference). decisions may be
+// nil (no scheduler instant events); the trace must be non-nil. A NaN or
+// infinite time is an error, and then nothing is written.
+func Write(out io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options) error {
 	if tr == nil {
 		return fmt.Errorf("chrometrace: nil trace")
 	}
@@ -120,27 +153,27 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 		}
 	}
 
-	evs := make([]event, 0, 2*len(tr.Tasks)+len(tr.Resources)+(len(programs)+1)*cores+8)
+	// A task slice with its args and steal flow takes about 450 bytes and
+	// a resource sample's two counters about 220; sized a little above,
+	// the writer allocates its buffer once.
+	w := jsonio.NewWriter(false)
+	w.Grow(4096 + 480*len(tr.Tasks) + 230*len(tr.Resources) + 160*cores*(len(programs)+1))
+	w.Begin('{')
+	w.Key("displayTimeUnit").String("ms")
+	w.Key("traceEvents").Begin('[')
 
 	// Metadata: process name, per-core thread names + sort order, and the
 	// scheduler instant-event track. Multiprogram traces repeat the core
 	// tracks under each program's process.
-	evs = append(evs, event{Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": opts.Process}})
+	metadata(w, "process_name", pid, 0, "name", opts.Process)
 	for i, prog := range programs {
-		evs = append(evs,
-			event{Name: "process_name", Ph: "M", Pid: pidOf[prog],
-				Args: map[string]any{"name": opts.Process + "/" + prog}},
-			event{Name: "process_sort_index", Ph: "M", Pid: pidOf[prog],
-				Args: map[string]any{"sort_index": i + 1}})
+		metadata(w, "process_name", pidOf[prog], 0, "name", opts.Process+"/"+prog)
+		metadata(w, "process_sort_index", pidOf[prog], 0, "sort_index", i+1)
 	}
 	coreTracks := func(p int) {
 		for c := 0; c < cores; c++ {
-			evs = append(evs,
-				event{Name: "thread_name", Ph: "M", Pid: p, Tid: c,
-					Args: map[string]any{"name": fmt.Sprintf("core %d (node %d)", c, nodeName(c))}},
-				event{Name: "thread_sort_index", Ph: "M", Pid: p, Tid: c,
-					Args: map[string]any{"sort_index": c}})
+			metadata(w, "thread_name", p, c, "name", fmt.Sprintf("core %d (node %d)", c, nodeName(c)))
+			metadata(w, "thread_sort_index", p, c, "sort_index", c)
 		}
 	}
 	if len(programs) == 0 {
@@ -149,51 +182,54 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 	for _, prog := range programs {
 		coreTracks(pidOf[prog])
 	}
-	evs = append(evs,
-		event{Name: "thread_name", Ph: "M", Pid: pid, Tid: schedTid,
-			Args: map[string]any{"name": "scheduler"}},
-		event{Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: schedTid,
-			Args: map[string]any{"sort_index": schedTid}})
+	metadata(w, "thread_name", pid, schedTid, "name", "scheduler")
+	metadata(w, "thread_sort_index", pid, schedTid, "sort_index", schedTid)
 
 	// Task slices + steal flows. Flow ids are per-steal; the "s" end sits
 	// on the victim's track at the slice start time, the "f" end binds to
 	// the enclosing slice on the thief's track (bp "e").
 	flowID := 0
-	for _, t := range tr.Tasks {
+	for i := range tr.Tasks {
+		t := &tr.Tasks[i]
 		cname := cnameStealable
 		if t.Strict {
 			cname = cnameStrict
 		}
-		args := map[string]any{
-			"loop": t.LoopID, "exec": t.Exec, "lo": t.Lo, "hi": t.Hi,
-			"stolen": t.Stolen, "remote": t.Remote, "strict": t.Strict,
-			"from": t.FromCore,
-		}
-		// Attribution breakdown of the slice (DESIGN.md §14): visible in
-		// the Perfetto slice-details pane. Tracing always enables machine
-		// attribution, so these args appear in every exported trace —
-		// which keeps the export byte-identical with -attr on or off.
-		args["idealSec"] = t.IdealSec
-		args["coreSpeedSec"] = t.CoreSpeedSec
-		args["idealMemSec"] = t.IdealMemSec
-		args["localitySec"] = t.LocalitySec
-		args["interferenceSec"] = t.InterferenceSec
 		tpid := pidOf[t.Program]
-		evs = append(evs, event{
-			Name: t.LoopName, Ph: "X", Cat: "task",
-			Ts: t.StartSec * usec, Dur: (t.EndSec - t.StartSec) * usec,
-			Pid: tpid, Tid: t.Core, Cname: cname,
-			Args: args,
-		})
+		begin(w, event{name: t.LoopName, ph: "X", cat: "task",
+			ts: t.StartSec * usec, dur: (t.EndSec - t.StartSec) * usec,
+			pid: tpid, tid: t.Core, cname: cname})
+		// The args carry the slice's attribution breakdown (DESIGN.md
+		// §14), visible in the Perfetto slice-details pane. Tracing always
+		// enables machine attribution, so these args appear in every
+		// exported trace, which keeps the export byte-identical with -attr
+		// on or off.
+		w.Key("args").Begin('{')
+		w.Key("coreSpeedSec").Float(t.CoreSpeedSec)
+		w.Key("exec").Int(t.Exec)
+		w.Key("from").Int(t.FromCore)
+		w.Key("hi").Int(t.Hi)
+		w.Key("idealMemSec").Float(t.IdealMemSec)
+		w.Key("idealSec").Float(t.IdealSec)
+		w.Key("interferenceSec").Float(t.InterferenceSec)
+		w.Key("lo").Int(t.Lo)
+		w.Key("localitySec").Float(t.LocalitySec)
+		w.Key("loop").Int(t.LoopID)
+		w.Key("remote").Bool(t.Remote)
+		w.Key("stolen").Bool(t.Stolen)
+		w.Key("strict").Bool(t.Strict)
+		w.End('}')
+		w.End('}')
 		if t.Remote && t.FromCore >= 0 {
 			// Steals never cross programs (a runtime invariant), so both
 			// flow ends live in the same process.
 			flowID++
-			evs = append(evs,
-				event{Name: "steal", Ph: "s", Cat: "steal", ID: flowID,
-					Ts: t.StartSec * usec, Pid: tpid, Tid: t.FromCore},
-				event{Name: "steal", Ph: "f", Cat: "steal", ID: flowID, BP: "e",
-					Ts: t.StartSec * usec, Pid: tpid, Tid: t.Core})
+			begin(w, event{name: "steal", ph: "s", cat: "steal", id: flowID,
+				ts: t.StartSec * usec, pid: tpid, tid: t.FromCore})
+			w.End('}')
+			begin(w, event{name: "steal", ph: "f", cat: "steal", id: flowID, bp: "e",
+				ts: t.StartSec * usec, pid: tpid, tid: t.Core})
+			w.End('}')
 		}
 	}
 
@@ -208,47 +244,69 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 	for _, d := range decisions {
 		st := last[d.LoopID]
 		if !st.seen || st.phase != d.Phase {
-			evs = append(evs, event{
-				Name: fmt.Sprintf("loop %d → %s", d.LoopID, d.Phase),
-				Ph:   "i", S: "g", Cat: "scheduler",
-				Ts: d.TimeSec * usec, Pid: pid, Tid: schedTid,
-				Args: map[string]any{"loop": d.LoopID, "k": d.K,
-					"phase": d.Phase, "threads": d.Threads, "stealFull": d.StealFull},
-			})
+			begin(w, event{name: fmt.Sprintf("loop %d → %s", d.LoopID, d.Phase),
+				ph: "i", s: "g", cat: "scheduler", ts: d.TimeSec * usec, pid: pid, tid: schedTid})
+			w.Key("args").Begin('{')
+			w.Key("k").Int(d.K)
+			w.Key("loop").Int(d.LoopID)
+			w.Key("phase").String(d.Phase)
+			w.Key("stealFull").Bool(d.StealFull)
+			w.Key("threads").Int(d.Threads)
+			w.End('}')
+			w.End('}')
 		}
 		if st.seen && st.full != d.StealFull {
-			evs = append(evs, event{
-				Name: fmt.Sprintf("loop %d steal→%s", d.LoopID, stealName(d.StealFull)),
-				Ph:   "i", S: "g", Cat: "scheduler",
-				Ts: d.TimeSec * usec, Pid: pid, Tid: schedTid,
-				Args: map[string]any{"loop": d.LoopID, "k": d.K, "stealFull": d.StealFull},
-			})
+			begin(w, event{name: fmt.Sprintf("loop %d steal→%s", d.LoopID, stealName(d.StealFull)),
+				ph: "i", s: "g", cat: "scheduler", ts: d.TimeSec * usec, pid: pid, tid: schedTid})
+			w.Key("args").Begin('{')
+			w.Key("k").Int(d.K)
+			w.Key("loop").Int(d.LoopID)
+			w.Key("stealFull").Bool(d.StealFull)
+			w.End('}')
+			w.End('}')
 		}
 		last[d.LoopID] = loopState{phase: d.Phase, full: d.StealFull, seen: true}
 	}
 
 	// Counter tracks: per-node MC bandwidth (GB/s, from cumulative byte
 	// deltas between successive samples) and instantaneous queue load.
-	lastBytes := make(map[int]taskrt.ResSample)
+	// Each node's track names are built once.
+	type nodeTracks struct {
+		bandwidth, queue string
+		prev             taskrt.ResSample
+		sampled          bool
+	}
+	nodes := make(map[int]*nodeTracks)
 	for _, s := range tr.Resources {
-		if prev, ok := lastBytes[s.Node]; ok && s.TimeSec > prev.TimeSec {
-			bw := (s.MCBytes - prev.MCBytes) / (s.TimeSec - prev.TimeSec) / 1e9
-			evs = append(evs, event{
-				Name: fmt.Sprintf("mc bandwidth node %d", s.Node), Ph: "C",
-				Ts: s.TimeSec * usec, Pid: pid, Tid: 0,
-				Args: map[string]any{"GB/s": bw},
-			})
+		n := nodes[s.Node]
+		if n == nil {
+			n = &nodeTracks{bandwidth: fmt.Sprintf("mc bandwidth node %d", s.Node),
+				queue: fmt.Sprintf("mc queue node %d", s.Node)}
+			nodes[s.Node] = n
 		}
-		lastBytes[s.Node] = s
-		evs = append(evs, event{
-			Name: fmt.Sprintf("mc queue node %d", s.Node), Ph: "C",
-			Ts: s.TimeSec * usec, Pid: pid, Tid: 0,
-			Args: map[string]any{"load": s.Queue},
-		})
+		if n.sampled && s.TimeSec > n.prev.TimeSec {
+			begin(w, event{name: n.bandwidth, ph: "C", ts: s.TimeSec * usec, pid: pid})
+			w.Key("args").Begin('{')
+			w.Key("GB/s").Float((s.MCBytes - n.prev.MCBytes) / (s.TimeSec - n.prev.TimeSec) / 1e9)
+			w.End('}')
+			w.End('}')
+		}
+		n.prev, n.sampled = s, true
+		begin(w, event{name: n.queue, ph: "C", ts: s.TimeSec * usec, pid: pid})
+		w.Key("args").Begin('{')
+		w.Key("load").Float(s.Queue)
+		w.End('}')
+		w.End('}')
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc{DisplayTimeUnit: "ms", TraceEvents: evs})
+	w.End(']')
+	w.End('}')
+	if err := w.Err(); err != nil {
+		return fmt.Errorf("chrometrace: %w", err)
+	}
+	w.Newline()
+	_, err := out.Write(w.Bytes())
+	return err
 }
 
 func stealName(full bool) string {

@@ -103,15 +103,28 @@ func TestCheckTraceAllocsZero(t *testing.T) {
 	}
 }
 
+// readSeeds is the seed corpus of the results decoders' fuzz targets: a
+// traced solo file, its co-run form, an out-of-range trace, an attribution
+// sidecar, and samples no run produces (a negative time, zero threads).
+func readSeeds(t testing.TB) [][]byte {
+	solo := tracedFile(t, nil)
+	return [][]byte{
+		solo,
+		asMulti(t, solo),
+		tracedFile(t, func(tr *taskrt.Trace) { tr.Tasks[1].Node = 99 }),
+		[]byte(`{"version":1,"cells":[{"bench":"CG","kind":"ilan","attr":{"runs":1,"task":{"tasks":1}}}]}`),
+		[]byte(`{"version":1,"cells":[{"bench":"CG","kind":"baseline","times":[-5,0.1],"overheads":[0,0],"weightedThreads":[64,64]}]}`),
+		[]byte(`{"version":1,"cells":[{"bench":"CG","kind":"ilan","times":[0.1],"overheads":[0],"weightedThreads":[0]}]}`),
+	}
+}
+
 // FuzzRead: Read returns an error or a file whose Write output reads back
 // and re-encodes to the same bytes, and the views over an accepted file
 // never panic.
 func FuzzRead(f *testing.F) {
-	solo := tracedFile(f, nil)
-	f.Add(solo)
-	f.Add(asMulti(f, solo))
-	f.Add(tracedFile(f, func(tr *taskrt.Trace) { tr.Tasks[1].Node = 99 }))
-	f.Add([]byte(`{"version":1,"cells":[{"bench":"CG","kind":"ilan","attr":{"runs":1,"task":{"tasks":1}}}]}`))
+	for _, seed := range readSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := Read(bytes.NewReader(data))
 		if err != nil {

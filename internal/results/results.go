@@ -5,13 +5,14 @@
 package results
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 
 	"github.com/ilan-sched/ilan/internal/harness"
+	"github.com/ilan-sched/ilan/internal/jsonio"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/stats"
 	"github.com/ilan-sched/ilan/internal/taskrt"
@@ -198,68 +199,110 @@ func AttrFromMatrix(mx *harness.Matrix, cfg harness.Config, label string) *File 
 	return f
 }
 
-// Write serializes the file as indented JSON.
+// Write serializes the file as indented JSON, the bytes json.Encoder with
+// SetIndent("", "  ") writes (codec.go). A NaN or infinite sample is an
+// error, and then nothing is written.
 func (f *File) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
+	jw := jsonio.NewWriter(true)
+	jw.Grow(sizeHint(f))
+	encodeFile(jw, f)
+	if err := jw.Err(); err != nil {
+		return fmt.Errorf("results: %w", err)
+	}
+	jw.Newline()
+	_, err := w.Write(jw.Bytes())
+	return err
 }
 
 // Read parses and validates a results file.
 func Read(r io.Reader) (*File, error) {
-	var f File
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
+	f, err := decodeFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("results: %w", err)
+	}
+	if err := f.validate(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// validate rejects a decoded file that no campaign writes: another format
+// version, a cell named twice, per-rep arrays of unequal length, samples
+// no run can produce (a non-positive time, elapsed, makespan or thread
+// count, a negative overhead, arrival or start), and task traces a view
+// would index out of range.
+func (f *File) validate() error {
 	if f.Version != FormatVersion {
-		return nil, fmt.Errorf("results: unsupported version %d (want %d)", f.Version, FormatVersion)
+		return fmt.Errorf("results: unsupported version %d (want %d)", f.Version, FormatVersion)
 	}
 	seen := map[string]bool{}
 	for _, c := range f.Cells {
 		key := c.Bench + "/" + c.Kind
 		if seen[key] {
-			return nil, fmt.Errorf("results: duplicate cell %s", key)
+			return fmt.Errorf("results: duplicate cell %s", key)
 		}
 		seen[key] = true
 		// Attribution sidecar files carry report-only cells; everything
 		// else must have at least one timing sample.
 		if len(c.Times) == 0 && c.Attr == nil {
-			return nil, fmt.Errorf("results: cell %s has no samples", key)
+			return fmt.Errorf("results: cell %s has no samples", key)
 		}
 		// Every per-rep array holds one value per rep (a sidecar cell
 		// carries none of them).
 		if n := len(c.Times); len(c.Overheads) != n || len(c.WeightedThreads) != n {
-			return nil, fmt.Errorf("results: cell %s has %d times but %d overheads and %d weightedThreads",
+			return fmt.Errorf("results: cell %s has %d times but %d overheads and %d weightedThreads",
 				key, n, len(c.Overheads), len(c.WeightedThreads))
 		}
-		if err := checkTrace(c.Trace); err != nil {
-			return nil, fmt.Errorf("results: cell %s: %w", key, err)
+		if err := cmp.Or(checkRange("time", c.Times, true), checkRange("overhead", c.Overheads, false),
+			checkRange("weightedThreads", c.WeightedThreads, true), checkTrace(c.Trace)); err != nil {
+			return fmt.Errorf("results: cell %s: %w", key, err)
 		}
 	}
 	if len(f.MultiCells) > 0 && f.CoRun == nil {
-		return nil, fmt.Errorf("results: multi cells without a co-run descriptor")
+		return fmt.Errorf("results: multi cells without a co-run descriptor")
 	}
 	seenMulti := map[string]bool{}
 	for _, c := range f.MultiCells {
 		if seenMulti[c.Kind] {
-			return nil, fmt.Errorf("results: duplicate multi cell %s", c.Kind)
+			return fmt.Errorf("results: duplicate multi cell %s", c.Kind)
 		}
 		seenMulti[c.Kind] = true
 		if len(c.Elapsed) == 0 {
-			return nil, fmt.Errorf("results: multi cell %s has no samples", c.Kind)
+			return fmt.Errorf("results: multi cell %s has no samples", c.Kind)
 		}
 		for _, p := range c.Programs {
 			if n := len(c.Elapsed); len(p.ArrivalSec) != n || len(p.StartSec) != n || len(p.MakespanSec) != n {
-				return nil, fmt.Errorf("results: multi cell %s program %s has %d/%d/%d arrival/start/makespan values for %d reps",
+				return fmt.Errorf("results: multi cell %s program %s has %d/%d/%d arrival/start/makespan values for %d reps",
 					c.Kind, p.Program, len(p.ArrivalSec), len(p.StartSec), len(p.MakespanSec), n)
 			}
+			if err := cmp.Or(checkRange("arrival", p.ArrivalSec, false), checkRange("start", p.StartSec, false),
+				checkRange("makespan", p.MakespanSec, true)); err != nil {
+				return fmt.Errorf("results: multi cell %s program %s: %w", c.Kind, p.Program, err)
+			}
 		}
-		if err := checkTrace(c.Trace); err != nil {
-			return nil, fmt.Errorf("results: multi cell %s: %w", c.Kind, err)
+		if err := cmp.Or(checkRange("elapsed", c.Elapsed, true), checkTrace(c.Trace)); err != nil {
+			return fmt.Errorf("results: multi cell %s: %w", c.Kind, err)
 		}
 	}
-	return &f, nil
+	return nil
+}
+
+// checkRange returns the error for the first sample of vs outside its
+// range: above zero when positive is set, else at or above zero.
+func checkRange(name string, vs []float64, positive bool) error {
+	for i, v := range vs {
+		if positive && !(v > 0) {
+			return fmt.Errorf("%s %d is %g, want > 0", name, i, v)
+		}
+		if !positive && !(v >= 0) {
+			return fmt.Errorf("%s %d is %g, want >= 0", name, i, v)
+		}
+	}
+	return nil
 }
 
 // checkTrace returns the error for a task trace that a view would index

@@ -487,3 +487,50 @@ func TestRoundTripPreservesObs(t *testing.T) {
 		}
 	}
 }
+
+// TestReadRejectsImpossibleSamples: every sample must be one a run can
+// produce. Times, co-run elapsed and makespans are positive; overheads,
+// arrivals and starts non-negative; weighted thread counts positive. The
+// reference decoder runs the same validation step.
+func TestReadRejectsImpossibleSamples(t *testing.T) {
+	solo := func(times, overheads, threads string) string {
+		return `{"version":1,"cells":[{"bench":"CG","kind":"baseline","times":` + times +
+			`,"overheads":` + overheads + `,"weightedThreads":` + threads + `}]}`
+	}
+	multi := func(elapsed, arrival, start, makespan string) string {
+		return `{"version":1,"corun":{"benches":["CG"]},"cells":[],"multiCells":[{"kind":"ilan",` +
+			`"elapsed":` + elapsed + `,"programs":[{"program":"CG","bench":"CG","arrivalSec":` + arrival +
+			`,"startSec":` + start + `,"makespanSec":` + makespan + `}]}]}`
+	}
+	cases := []struct {
+		name, doc, errHas string
+	}{
+		{"well-formed", solo("[0.1,0.2]", "[0,0.001]", "[18.75,64]"), ""},
+		{"well-formed multi", multi("[1]", "[0]", "[0]", "[1]"), ""},
+		{"negative time", solo("[-5,0.2]", "[0,0]", "[8,8]"), "CG/baseline: time 0 is -5, want > 0"},
+		{"zero time", solo("[0.1,0]", "[0,0]", "[8,8]"), "time 1 is 0, want > 0"},
+		{"negative overhead", solo("[0.1]", "[-1e-9]", "[8]"), "overhead 0 is -1e-09, want >= 0"},
+		{"zero threads", solo("[0.1]", "[0]", "[0]"), "weightedThreads 0 is 0, want > 0"},
+		{"negative threads", solo("[0.1]", "[0]", "[-8]"), "weightedThreads 0 is -8"},
+		{"zero elapsed", multi("[0]", "[0]", "[0]", "[1]"), "multi cell ilan: elapsed 0 is 0, want > 0"},
+		{"zero makespan", multi("[1]", "[0]", "[0]", "[0]"), "program CG: makespan 0 is 0, want > 0"},
+		{"negative arrival", multi("[1]", "[-0.5]", "[0]", "[1]"), "arrival 0 is -0.5, want >= 0"},
+		{"negative start", multi("[1]", "[0]", "[-1]", "[1]"), "start 0 is -1, want >= 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for name, read := range map[string]func([]byte) (*File, error){
+				"Read":      func(b []byte) (*File, error) { return Read(bytes.NewReader(b)) },
+				"reference": referenceRead,
+			} {
+				_, err := read([]byte(tc.doc))
+				switch {
+				case tc.errHas == "" && err != nil:
+					t.Fatalf("%s rejected a well-formed file: %v", name, err)
+				case tc.errHas != "" && (err == nil || !strings.Contains(err.Error(), tc.errHas)):
+					t.Fatalf("%s: err = %v, want one naming %q", name, err, tc.errHas)
+				}
+			}
+		})
+	}
+}
